@@ -22,23 +22,17 @@ class TwoAdicDecomposition:
 
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Return base**exponent mod modulus by square-and-multiply.
+    """Return base**exponent mod modulus, via builtin three-argument pow.
 
     O(log exponent) multiplications; exponent 0 yields 1 (empty product).
+    Unlike pow, rejects moduli below 2 and negative exponents (modular
+    inverses) with ValueError.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
-    result = 1
-    b = base % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * b % modulus
-        b = b * b % modulus
-        e >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:

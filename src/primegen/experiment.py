@@ -3,21 +3,19 @@ strong test, prime generation to a target confidence, and report
 rendering (table, csv, json).
 
 Given the same config and seed the records, summary and rendered bytes
-are identical across runs; per-candidate wall time is kept on the
-record for profiling but never rendered.
+are identical across runs.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import Mode, filtered_prime_prob
 from .errors import RefusalError
-from .primality import TestVerdict, miller_rabin
+from .primality import TestVerdict, has_small_factor, miller_rabin
 from .sampling import Candidate, FilterPolicy, make_stream, random_candidate
 
 OUTPUT_FORMATS = ("table", "csv", "json")
@@ -52,7 +50,6 @@ class ExperimentRecord:
     verdict: TestVerdict
     rounds_used: int
     confidence_lower_bound: float | None
-    elapsed: float
 
     @property
     def label(self) -> str:
@@ -75,19 +72,17 @@ class ExperimentSummary:
 def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], ExperimentSummary]:
     """Generate, test and score `count` filtered candidates.
 
-    Candidate i draws from its own stream (seed XOR i), first for the
-    digits and then for the test bases, so results do not depend on
-    execution order.
+    Candidate i draws from its own stream, make_stream(seed, i), first
+    for the digits and then for the test bases, so results do not depend
+    on execution order.
     """
     prior = filtered_prime_prob(config.digits, config.policy, config.mode)
     bound = bayes_confidence(prior, config.rounds).lower_bound
     records = []
     for i in range(config.count):
         rng = make_stream(config.seed, i)
-        start = time.perf_counter()
         candidate = random_candidate(config.digits, config.policy, rng)
         verdict = miller_rabin(candidate.n, config.rounds, rng)
-        elapsed = time.perf_counter() - start
         survived = verdict.is_probable_prime
         records.append(
             ExperimentRecord(
@@ -95,7 +90,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
                 verdict=verdict,
                 rounds_used=verdict.rounds_survived if survived else verdict.rounds_survived + 1,
                 confidence_lower_bound=bound if survived else None,
-                elapsed=elapsed,
             )
         )
     summary = ExperimentSummary(
@@ -133,6 +127,13 @@ def generate_prime(
     The round count is the smallest m whose posterior lower bound meets
     the target for this digit size and policy. Expected attempts are
     roughly 1 / filtered_prime_prob(digits, policy).
+
+    A candidate with a prime factor up to SMALL_PRIME_BOUND is rejected
+    by one gcd before any strong round. Attempt i draws only from
+    make_stream(seed, i), so skipping its test bases leaves every other
+    attempt, and so the seeded result, unchanged. The prior and round
+    count stay those of the filtered pool: the screen only removes
+    composites, so the reported bound stays valid and is conservative.
     """
     if digits < 2:
         raise ValueError("digits must be >= 2")
@@ -143,6 +144,8 @@ def generate_prime(
     for attempt in range(max_attempts):
         rng = make_stream(seed, attempt) if seed is not None else make_stream(None)
         candidate = random_candidate(digits, policy, rng)
+        if has_small_factor(candidate.n):
+            continue
         verdict = miller_rabin(candidate.n, rounds, rng)
         if verdict.is_probable_prime:
             return GeneratedPrime(

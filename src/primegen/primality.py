@@ -1,14 +1,15 @@
 """Probabilistic primality tests and an exact trial-division oracle.
 
 Three single-round tests (Fermat, Euler, Miller-Rabin) over random
-bases, multi-round drivers that stop at the first witness, and exact
-trial division for small inputs. Composite verdicts always carry
-evidence and are never wrong; only "probable prime" can be a false
-positive.
+bases, multi-round drivers that stop at the first witness, exact trial
+division for small inputs, and a one-gcd screen for prime factors up to
+SMALL_PRIME_BOUND. Composite verdicts always carry evidence and are
+never wrong; only "probable prime" can be a false positive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -197,3 +198,27 @@ def trial_division(n: int, bound: int = ORACLE_BOUND) -> ExactVerdict:
             return ExactVerdict(ExactOutcome.COMPOSITE, smallest_factor=f + 2)
         f += 6
     return ExactVerdict(ExactOutcome.PRIME)
+
+
+def prime_flags(limit: int) -> bytearray:
+    """Sieve of Eratosthenes: flags[i] == 1 iff i is prime, for 0 <= i <= limit."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return flags
+
+
+SMALL_PRIME_BOUND = 2000
+SMALL_PRIMES_PRODUCT = math.prod(itertools.compress(range(SMALL_PRIME_BOUND + 1), prime_flags(SMALL_PRIME_BOUND)))
+
+
+def has_small_factor(n: int) -> bool:
+    """True iff n > SMALL_PRIME_BOUND has a prime factor <= SMALL_PRIME_BOUND.
+
+    One gcd against the product of those primes, far cheaper than a
+    modexp. Never true for a prime; n <= SMALL_PRIME_BOUND is left to
+    the caller's other tests.
+    """
+    return n > SMALL_PRIME_BOUND and math.gcd(n, SMALL_PRIMES_PRODUCT) > 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .arith import decompose_pow2, extended_gcd
 from .errors import RefusalError
-from .primality import ExactOutcome, trial_division
+from .primality import ExactOutcome, prime_flags, trial_division
 
 FERMAT_SCAN_CAP = 10**7
 CARMICHAEL_CAP = 10**6
@@ -37,16 +37,6 @@ class LiarCensus:
     fermat_liars: int
     euler_liars: int
     strong_liars: int
-
-
-def _prime_flags(limit: int) -> bytearray:
-    """Sieve of Eratosthenes: flags[i] == 1 iff i is prime."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return flags
 
 
 def _smallest_factor_table(limit: int) -> list[int]:
@@ -109,7 +99,7 @@ def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
         raise RefusalError(f"scan capped at {FERMAT_SCAN_CAP}, got {limit}")
     if limit < 9:
         return []
-    flags = _prime_flags(limit)
+    flags = prime_flags(limit)
     found = []
     for n in range(9, limit + 1, 2):
         if flags[n] or math.gcd(a, n) != 1:

@@ -86,9 +86,11 @@ def passes_filter(n: int, policy: FilterPolicy) -> bool:
 def make_stream(seed: int | None, index: int = 0) -> random.Random:
     """Deterministic per-candidate RNG stream, or system randomness if unseeded.
 
-    Streams for distinct indices are derived as seed XOR index so that
-    candidates can be produced independently (and in parallel) while the
-    overall output stays reproducible.
+    Stream `index` of `seed` is random.Random((index << 64) | seed). The
+    seed fits in 64 bits, so distinct (seed, index) pairs never share a
+    stream: candidates can be produced independently (and in parallel),
+    the overall output stays reproducible, and different seeds give
+    independent runs.
     """
     if seed is None:
         return random.SystemRandom()
@@ -96,7 +98,7 @@ def make_stream(seed: int | None, index: int = 0) -> random.Random:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     if index < 0:
         raise ValueError("stream index must be non-negative")
-    return random.Random(seed ^ index)
+    return random.Random((index << 64) | seed)
 
 
 def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random | None = None) -> Candidate:

@@ -121,6 +121,16 @@ class TestExperimentCommand:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_adjacent_seeds_share_no_candidates(self, capsys):
+        numbers = []
+        for seed in ("0", "1"):
+            code, out, _ = run_cli(capsys, "experiment", "--digits", "75", "--count", "100", "--rounds", "10",
+                                   "--seed", seed)
+            assert code == 0
+            numbers.append({line.split()[0] for line in out.splitlines()[:100]})
+        assert len(numbers[0]) == len(numbers[1]) == 100
+        assert not numbers[0] & numbers[1]
+
     def test_table_format_matches_figure_layout(self, capsys):
         code, out, _ = run_cli(
             capsys, "experiment", "--digits", "75", "--count", "10", "--rounds", "10",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from primegen import primality
 from primegen.confidence import bayes_confidence
 from primegen.density import Mode, filtered_prime_prob
 from primegen.errors import RefusalError
@@ -102,6 +103,32 @@ class TestGeneratePrime:
         b = generate_prime(20, 0.999, seed=77)
         assert (a.value, a.attempts, a.rounds) == (b.value, b.attempts, b.rounds)
 
+    def test_adjacent_seeds_give_different_primes(self):
+        assert generate_prime(75, 0.999, seed=2).value != generate_prime(75, 0.999, seed=3).value
+
+    def test_small_factor_screen_changes_no_seeded_result(self, monkeypatch):
+        def outcome(digits, seed):
+            r = generate_prime(digits, 0.999, seed=seed)
+            return r.value, r.attempts, r.rounds, r.confidence.lower_bound
+
+        cases = [(digits, seed) for digits in (20, 75, 100) for seed in range(20)]
+        screened = [outcome(*case) for case in cases]
+        monkeypatch.setattr(primality, "SMALL_PRIMES_PRODUCT", 1)
+        assert not primality.has_small_factor(3 * 10**20)
+        assert [outcome(*case) for case in cases] == screened
+
+    def test_small_digit_sizes_around_the_screen_bound(self):
+        # 2- and 3-digit candidates all lie below the screen bound; 4-digit ones straddle it
+        values = []
+        for digits in (2, 3, 4):
+            for seed in range(30):
+                result = generate_prime(digits, 1 - 1e-9, seed=seed)
+                assert len(str(result.value)) == digits
+                assert trial_division(result.value).outcome is ExactOutcome.PRIME
+                values.append(result.value)
+        assert any(1000 <= v <= primality.SMALL_PRIME_BOUND for v in values)
+        assert any(v > primality.SMALL_PRIME_BOUND for v in values)
+
     def test_attempt_cap_refuses(self):
         with pytest.raises(RefusalError):
             generate_prime(6, 0.99, seed=3, max_attempts=0)
@@ -119,14 +146,12 @@ def _fake_records():
         verdict=Verdict(Outcome.PROBABLE_PRIME, rounds_survived=10),
         rounds_used=10,
         confidence_lower_bound=0.99997,
-        elapsed=0.001,
     )
     composite = ExperimentRecord(
         candidate=Candidate.from_value(561),
         verdict=Verdict(Outcome.COMPOSITE, witness=2, rounds_survived=0),
         rounds_used=1,
         confidence_lower_bound=None,
-        elapsed=0.001,
     )
     return [prime, composite]
 

@@ -1,15 +1,19 @@
+import math
 import random
 
 import pytest
 
 from primegen.arith import mod_pow
 from primegen.errors import RefusalError
+from primegen import primality
 from primegen.primality import (
+    SMALL_PRIME_BOUND,
     ExactOutcome,
     euler_round,
     euler_test,
     fermat_round,
     fermat_test,
+    has_small_factor,
     miller_rabin,
     miller_rabin_round,
     trial_division,
@@ -215,3 +219,15 @@ class TestTrialDivision:
             exact_prime = trial_division(n).outcome is ExactOutcome.PRIME
             probable_prime = miller_rabin(n, 10, make_stream(31, n)).is_probable_prime
             assert exact_prime == probable_prime
+
+
+class TestSmallPrimeScreen:
+    def test_product_is_over_exactly_the_primes_up_to_the_bound(self, prime_flags):
+        flags = prime_flags(SMALL_PRIME_BOUND)
+        assert primality.SMALL_PRIMES_PRODUCT == math.prod(p for p in range(SMALL_PRIME_BOUND + 1) if flags[p])
+
+    def test_rejects_exactly_the_numbers_with_a_small_factor(self):
+        for n in range(SMALL_PRIME_BOUND + 1, 10**5 + 1):
+            verdict = trial_division(n)
+            small = verdict.outcome is ExactOutcome.COMPOSITE and verdict.smallest_factor <= SMALL_PRIME_BOUND
+            assert has_small_factor(n) == small, n

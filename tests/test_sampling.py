@@ -160,3 +160,10 @@ class TestMakeStream:
         a = make_stream(11, 0).getrandbits(64)
         b = make_stream(11, 1).getrandbits(64)
         assert a != b
+
+    def test_seed_and_index_are_not_interchangeable(self):
+        # seed ^ index would make stream i of seed s stream i^1 of seed s^1
+        for seed, index in ((0, 0), (1, 0), (10, 3), (2**64 - 1, 1)):
+            a = make_stream(seed, index).getrandbits(64)
+            b = make_stream(seed ^ 1, index ^ 1).getrandbits(64)
+            assert a != b
