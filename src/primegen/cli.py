@@ -171,7 +171,6 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         seed=args.seed,
         policy=POLICIES[args.policy],
         mode=Mode(args.mode),
-        output_format=args.format,
     )
     records, summary = run_experiment(config)
     if args.format == "csv":

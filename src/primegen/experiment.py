@@ -18,8 +18,6 @@ from .errors import RefusalError
 from .primality import TestVerdict, has_small_factor, miller_rabin
 from .sampling import Candidate, FilterPolicy, make_stream, random_candidate
 
-OUTPUT_FORMATS = ("table", "csv", "json")
-
 CSV_HEADER = "number,verdict,rounds_used,confidence_lower_bound"
 
 
@@ -31,7 +29,6 @@ class ExperimentConfig:
     seed: int
     policy: FilterPolicy = FilterPolicy.both()
     mode: Mode = Mode.CORRECTED
-    output_format: str = "table"
 
     def __post_init__(self) -> None:
         if self.digits < 2:
@@ -40,8 +37,6 @@ class ExperimentConfig:
             raise ValueError("count must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ never wrong; only "probable prime" can be a false positive.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -200,18 +200,23 @@ def trial_division(n: int, bound: int = ORACLE_BOUND) -> ExactVerdict:
     return ExactVerdict(ExactOutcome.PRIME)
 
 
-def prime_flags(limit: int) -> bytearray:
-    """Sieve of Eratosthenes: flags[i] == 1 iff i is prime, for 0 <= i <= limit."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return flags
+def factor_table(limit: int) -> array:
+    """Sieve of Eratosthenes: table[i] is a prime factor of i when i is
+    composite, and 0 when i is prime or i < 2, for 0 <= i <= limit.
+
+    Each prime p <= sqrt(limit) marks its multiples from p^2 on, so an
+    entry is some prime factor of i, not necessarily the smallest. The
+    entries are 2-byte, which holds every p for limit < 2^32.
+    """
+    table = array("H", bytes(2 * (limit + 1)))
+    for p in range(2, math.isqrt(limit) + 1):
+        if not table[p]:
+            table[p * p :: p] = array("H", [p]) * ((limit - p * p) // p + 1)
+    return table
 
 
 SMALL_PRIME_BOUND = 2000
-SMALL_PRIMES_PRODUCT = math.prod(itertools.compress(range(SMALL_PRIME_BOUND + 1), prime_flags(SMALL_PRIME_BOUND)))
+SMALL_PRIMES_PRODUCT = math.prod(p for p, f in enumerate(factor_table(SMALL_PRIME_BOUND)) if p >= 2 and not f)
 
 
 def has_small_factor(n: int) -> bool:

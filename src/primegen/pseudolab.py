@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 from .arith import decompose_pow2, extended_gcd
 from .errors import RefusalError
-from .primality import ExactOutcome, prime_flags, trial_division
+from .primality import ExactOutcome, factor_table, trial_division
 
 FERMAT_SCAN_CAP = 10**7
 CARMICHAEL_CAP = 10**6
 CENSUS_CAP = 10**6
 ABSOLUTE_EULER_CAP = 10**6
 SQRT_UNITY_CAP = 10**9
-SQRT_UNITY_SCAN_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,6 @@ class LiarCensus:
     fermat_liars: int
     euler_liars: int
     strong_liars: int
-
-
-def _smallest_factor_table(limit: int) -> list[int]:
-    """spf[i] = smallest prime factor of i (spf[i] == i iff i prime)."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
 
 
 def liar_flags(n: int, a: int) -> tuple[bool, bool, bool]:
@@ -99,10 +87,10 @@ def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
         raise RefusalError(f"scan capped at {FERMAT_SCAN_CAP}, got {limit}")
     if limit < 9:
         return []
-    flags = prime_flags(limit)
+    table = factor_table(limit)
     found = []
     for n in range(9, limit + 1, 2):
-        if flags[n] or math.gcd(a, n) != 1:
+        if not table[n] or math.gcd(a, n) != 1:
             continue
         if pow(a, n - 1, n) == 1:
             found.append(n)
@@ -114,22 +102,23 @@ def carmichael_numbers(limit: int) -> list[int]:
 
     Korselt's criterion (squarefree, and p-1 divides n-1 for every prime
     factor p) characterizes them; base n-1 rules out every even
-    composite, so only odd n are scanned.
+    composite, so only odd n are scanned. Any prime factor serves both
+    tests, so the sieve need not give the smallest one.
     """
     if limit > CARMICHAEL_CAP:
         raise RefusalError(f"scan capped at {CARMICHAEL_CAP}, got {limit}")
     if limit < 9:
         return []
-    spf = _smallest_factor_table(limit)
+    table = factor_table(limit)
     found = []
     for n in range(9, limit + 1, 2):
-        if spf[n] == n:
+        if not table[n]:
             continue
         m = n
         squarefree = True
         korselt = True
         while m > 1:
-            p = spf[m]
+            p = table[m] or m
             m //= p
             if m % p == 0:
                 squarefree = False
@@ -157,19 +146,10 @@ def is_absolute_euler_pseudoprime(n: int) -> bool:
 
 def _factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    while n > 1:
+        p = trial_division(n).smallest_factor or n
+        factors[p] = factors.get(p, 0) + 1
+        n //= p
     return factors
 
 
@@ -194,16 +174,14 @@ def _unity_roots_prime_power(p: int, e: int) -> list[int]:
 def sqrt_of_unity(n: int) -> list[int]:
     """All x in [1, n-1] with x^2 = 1 (mod n), ascending.
 
-    Direct scan up to 10^6; above that, factorization plus the Chinese
-    remainder theorem (each prime power contributes its own roots, and
-    a product of r odd prime powers yields 2^r of them).
+    Factorization by trial division plus the Chinese remainder theorem:
+    each prime power contributes its own roots, and a product of r odd
+    prime powers yields 2^r of them.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n > SQRT_UNITY_CAP:
         raise RefusalError(f"capped at {SQRT_UNITY_CAP}, got {n}")
-    if n <= SQRT_UNITY_SCAN_CAP:
-        return [x for x in range(1, n) if x * x % n == 1]
     roots = [0]
     modulus = 1
     for p, e in _factorize(n).items():

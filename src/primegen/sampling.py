@@ -52,24 +52,28 @@ class FilterPolicy:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A d-digit integer with its recorded filter attributes."""
+    """A d-digit integer; its filter attributes are derived from the value."""
 
     n: int
     digits: int
-    dr: int
-    last_digit: int
 
     def __post_init__(self) -> None:
         if self.n < 10 ** (self.digits - 1) or self.n >= 10**self.digits:
             raise ValueError(f"{self.n} does not have exactly {self.digits} digits")
-        if self.dr != digital_root(self.n) or self.last_digit != self.n % 10:
-            raise ValueError("recorded attributes do not match the value")
+
+    @property
+    def dr(self) -> int:
+        return digital_root(self.n)
+
+    @property
+    def last_digit(self) -> int:
+        return self.n % 10
 
     @classmethod
     def from_value(cls, n: int) -> "Candidate":
         if n < 1:
             raise ValueError("candidate must be positive")
-        return cls(n=n, digits=len(str(n)), dr=digital_root(n), last_digit=n % 10)
+        return cls(n=n, digits=len(str(n)))
 
 
 def passes_filter(n: int, policy: FilterPolicy) -> bool:
@@ -118,7 +122,7 @@ def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random | Non
     while True:
         n = rng.randint(1, 9) * high + rng.randrange(middle_span) * 10 + rng.choice(last_choices)
         if not policy.digital_root_filter or digital_root(n) not in EXCLUDED_DIGITAL_ROOTS:
-            return Candidate.from_value(n)
+            return Candidate(n, digits)
 
 
 def pool_size(digits: int, policy: FilterPolicy) -> SciReal:

@@ -74,7 +74,7 @@ class TestRunExperiment:
         assert abs(hits / total - density) <= 3 * sigma
 
     def test_config_validation(self):
-        for kwargs in (dict(digits=1), dict(count=0), dict(rounds=0), dict(output_format="xml")):
+        for kwargs in (dict(digits=1), dict(count=0), dict(rounds=0)):
             with pytest.raises(ValueError):
                 small_config(**kwargs)
 

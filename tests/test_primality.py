@@ -11,6 +11,7 @@ from primegen.primality import (
     ExactOutcome,
     euler_round,
     euler_test,
+    factor_table,
     fermat_round,
     fermat_test,
     has_small_factor,
@@ -219,6 +220,19 @@ class TestTrialDivision:
             exact_prime = trial_division(n).outcome is ExactOutcome.PRIME
             probable_prime = miller_rabin(n, 10, make_stream(31, n)).is_probable_prime
             assert exact_prime == probable_prime
+
+
+class TestFactorTable:
+    def test_entries_against_the_sieve_oracle(self, prime_flags):
+        for limit in (0, 1, 2, 3, 2000, 10**5):
+            table = factor_table(limit)
+            flags = prime_flags(limit)
+            assert len(table) == limit + 1
+            for n, p in enumerate(table):
+                if p == 0:
+                    assert n < 2 or flags[n], (limit, n)
+                else:
+                    assert flags[p] and n % p == 0 and p < n, (limit, n, p)
 
 
 class TestSmallPrimeScreen:

@@ -152,6 +152,12 @@ class TestCarmichaelNumbers:
         for n in CARMICHAELS_BELOW_10K:
             assert miller_rabin(n, 10, make_stream(13, n)).is_composite
 
+    def test_forty_three_below_a_million(self):
+        # OEIS A002997
+        found = carmichael_numbers(10**6)
+        assert len(found) == 43
+        assert found[:7] == CARMICHAELS_BELOW_10K and found[-1] == 997633
+
     def test_refusal(self):
         with pytest.raises(RefusalError):
             carmichael_numbers(10**6 + 1)
@@ -179,6 +185,11 @@ class TestSqrtOfUnity:
             if any(n % (p * p) == 0 for p in factors):
                 continue
             assert len(sqrt_of_unity(n)) == 2 ** len(factors)
+
+    def test_matches_scan_for_every_small_modulus(self):
+        # covers even moduli and powers of 2 as well as odd ones
+        for n in range(2, 3001):
+            assert sqrt_of_unity(n) == [x for x in range(1, n) if x * x % n == 1], n
 
     def test_crt_path_matches_scan(self):
         for n in (1000003, 2000341, 2097152, 3000000):

@@ -135,9 +135,7 @@ class TestCandidate:
 
     def test_mismatched_attributes_rejected(self):
         with pytest.raises(ValueError):
-            Candidate(n=341, digits=4, dr=8, last_digit=1)
-        with pytest.raises(ValueError):
-            Candidate(n=341, digits=3, dr=7, last_digit=1)
+            Candidate(n=341, digits=4)
 
     def test_digital_root_matches_kernel(self):
         for n in (1, 9, 10, 561, 10**74 + 3):
