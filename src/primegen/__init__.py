@@ -40,6 +40,7 @@ from .primality import (
     fermat_test,
     miller_rabin,
     miller_rabin_round,
+    mr_transcript,
     trial_division,
 )
 from .pseudolab import (
@@ -99,6 +100,7 @@ __all__ = [
     "miller_rabin",
     "miller_rabin_round",
     "mod_pow",
+    "mr_transcript",
     "passes_filter",
     "pnt_estimate",
     "pool_size",

@@ -272,6 +272,8 @@ def _bound_text(bound: float) -> str:
 
 def _cmd_lab(args: argparse.Namespace) -> None:
     if args.lab_command == "census":
+        if args.end > pseudolab.CENSUS_CAP:
+            raise RefusalError(f"census capped at {pseudolab.CENSUS_CAP}, got --end {args.end}")
         rows = []
         for n in range(args.start | 1, args.end + 1, 2):
             if trial_division(n).outcome is not ExactOutcome.COMPOSITE:

@@ -1,7 +1,7 @@
 """Probabilistic primality tests and an exact trial-division oracle.
 
-Three single-round tests (Fermat, Euler, Miller-Rabin) over random
-bases, multi-round drivers that stop at the first witness, exact trial
+Three single-round tests (Fermat, Euler, Miller-Rabin) that read one
+squaring chain, multi-round drivers over random bases, exact trial
 division for small inputs, and a one-gcd screen for prime factors up to
 SMALL_PRIME_BOUND. Composite verdicts always carry evidence and are
 never wrong; only "probable prime" can be a false positive.
@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow
+from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow  # noqa: F401 (bench/spans.py wraps it here)
 from .errors import RefusalError
 
 
@@ -52,7 +52,7 @@ class TestVerdict:
 
 @dataclass(frozen=True)
 class MRTranscript:
-    """Audit trail of one Miller-Rabin round.
+    """Audit trail of one Miller-Rabin round, built by mr_transcript.
 
     chain[0] = a^m mod n and chain[i] = chain[i-1]^2 mod n, so
     chain[s] = a^(n-1) mod n where n - 1 = 2^s * m.
@@ -69,19 +69,35 @@ def _check_round_args(n: int, a: int) -> None:
         raise ValueError(f"base must lie in [2, {n - 2}], got {a}")
 
 
+def _chain(n: int, a: int) -> list[int]:
+    """[a^m, a^(2m), ..., a^(n-1)] mod n for odd n >= 3, where n - 1 = 2^s * m, m odd.
+    Fermat reads the last entry, Euler the one before it, and the strong
+    test the head plus any n - 1 before the last entry."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    chain = [pow(a, (n - 1) >> s, n)]
+    for _ in range(s):
+        chain.append(chain[-1] * chain[-1] % n)
+    return chain
+
+
+_PASSED = TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=1)  # frozen: one instance serves every pass
+
+
+def _verdict(n: int, a: int, passed: bool) -> TestVerdict:
+    if passed:
+        return _PASSED
+    g = math.gcd(a, n)  # a base sharing a factor with n fails every round
+    return TestVerdict(Outcome.COMPOSITE, witness=a, factor=g if g > 1 else None)
+
+
 def fermat_round(n: int, a: int) -> TestVerdict:
     """Probable prime iff a^(n-1) = 1 (mod n).
 
-    A shared factor gcd(a, n) > 1 is reported as composite evidence
-    directly; such bases can never satisfy the congruence anyway.
+    A shared factor gcd(a, n) > 1 is reported as composite evidence;
+    such bases can never satisfy the congruence.
     """
     _check_round_args(n, a)
-    g = math.gcd(a, n)
-    if g > 1:
-        return TestVerdict(Outcome.COMPOSITE, witness=a, factor=g)
-    if mod_pow(a, n - 1, n) == 1:
-        return TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=1)
-    return TestVerdict(Outcome.COMPOSITE, witness=a)
+    return _verdict(n, a, _chain(n, a)[-1] == 1)
 
 
 def euler_round(n: int, a: int) -> TestVerdict:
@@ -91,32 +107,24 @@ def euler_round(n: int, a: int) -> TestVerdict:
     every Euler liar is a Fermat liar.
     """
     _check_round_args(n, a)
-    g = math.gcd(a, n)
-    if g > 1:
-        return TestVerdict(Outcome.COMPOSITE, witness=a, factor=g)
-    if mod_pow(a, (n - 1) // 2, n) in (1, n - 1):
-        return TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=1)
-    return TestVerdict(Outcome.COMPOSITE, witness=a)
+    return _verdict(n, a, _chain(n, a)[-2] in (1, n - 1))
 
 
-def miller_rabin_round(n: int, a: int) -> tuple[TestVerdict, MRTranscript]:
-    """One strong-pseudoprime round, with its full squaring chain.
+def miller_rabin_round(n: int, a: int) -> TestVerdict:
+    """One strong-pseudoprime round.
 
     With n - 1 = 2^s * m, the base passes iff a^m = 1 (mod n) or some
     chain entry before the last equals n - 1; odd primes always pass.
     """
     _check_round_args(n, a)
-    dec = decompose_pow2(n - 1)
-    chain = [mod_pow(a, dec.odd_part, n)]
-    for _ in range(dec.s):
-        chain.append(chain[-1] * chain[-1] % n)
-    transcript = MRTranscript(decomposition=dec, chain=tuple(chain))
-    passed = chain[0] in (1, n - 1) or any(chain[i] == n - 1 for i in range(1, dec.s))
-    if passed:
-        return TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=1), transcript
-    g = math.gcd(a, n)
-    factor = g if g > 1 else None
-    return TestVerdict(Outcome.COMPOSITE, witness=a, factor=factor), transcript
+    chain = _chain(n, a)
+    return _verdict(n, a, chain[0] == 1 or n - 1 in chain[:-1])
+
+
+def mr_transcript(n: int, a: int) -> MRTranscript:
+    """The squaring chain of one Miller-Rabin round, built on request."""
+    _check_round_args(n, a)
+    return MRTranscript(decomposition=decompose_pow2(n - 1), chain=tuple(_chain(n, a)))
 
 
 def _multi_round(round_fn, n: int, rounds: int, rng: random.Random | None) -> TestVerdict:
@@ -140,7 +148,7 @@ def miller_rabin(n: int, rounds: int, rng: random.Random | None = None) -> TestV
     Stops at the first witness. A surviving composite slips through with
     probability below 4^-rounds.
     """
-    return _multi_round(lambda n_, a: miller_rabin_round(n_, a)[0], n, rounds, rng)
+    return _multi_round(miller_rabin_round, n, rounds, rng)
 
 
 def fermat_test(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
@@ -204,14 +212,17 @@ def factor_table(limit: int) -> array:
     """Sieve of Eratosthenes: table[i] is a prime factor of i when i is
     composite, and 0 when i is prime or i < 2, for 0 <= i <= limit.
 
-    Each prime p <= sqrt(limit) marks its multiples from p^2 on, so an
-    entry is some prime factor of i, not necessarily the smallest. The
-    entries are 2-byte, which holds every p for limit < 2^32.
+    Even entries start at 2 (the repeated pattern 2, 0); each odd prime
+    p <= sqrt(limit) marks its odd multiples from p^2 on, so an entry is
+    some prime factor of i, not necessarily the smallest. The entries are
+    2-byte, which holds every p for limit < 2^32.
     """
-    table = array("H", bytes(2 * (limit + 1)))
-    for p in range(2, math.isqrt(limit) + 1):
+    table = array("H", [2, 0]) * (limit // 2 + 2)
+    table[0] = table[2] = 0
+    del table[limit + 1 :]
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if not table[p]:
-            table[p * p :: p] = array("H", [p]) * ((limit - p * p) // p + 1)
+            table[p * p :: 2 * p] = array("H", [p]) * ((limit - p * p) // (2 * p) + 1)
     return table
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import decompose_pow2, extended_gcd
+from .arith import extended_gcd
 from .errors import RefusalError
-from .primality import ExactOutcome, factor_table, trial_division
+from .primality import ExactOutcome, _chain, factor_table, trial_division
 
 FERMAT_SCAN_CAP = 10**7
 CARMICHAEL_CAP = 10**6
@@ -39,29 +39,13 @@ class LiarCensus:
 
 
 def liar_flags(n: int, a: int) -> tuple[bool, bool, bool]:
-    """(fermat, euler, strong) liar flags for base a against odd n >= 3.
-
-    One squaring chain serves all three tests: with n - 1 = 2^s * m,
-    the Fermat condition reads off chain[s], the Euler condition off
-    chain[s-1], and the strong condition off chain[0] and any -1 among
-    chain[0..s-1].
-    """
+    """(fermat, euler, strong) liar flags for base a against odd n >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     if not 1 <= a <= n - 1:
         raise ValueError("base must lie in [1, n-1]")
-    dec = decompose_pow2(n - 1)
-    minus_one = n - 1
-    x = pow(a, dec.odd_part, n)
-    strong = x == 1
-    euler = False
-    for i in range(dec.s):
-        if x == minus_one:
-            strong = True
-        if i == dec.s - 1:
-            euler = x in (1, minus_one)
-        x = x * x % n
-    return x == 1, euler, strong
+    chain = _chain(n, a)
+    return chain[-1] == 1, chain[-2] in (1, n - 1), chain[0] == 1 or n - 1 in chain[:-1]
 
 
 def liar_census(n: int) -> LiarCensus:
@@ -72,10 +56,10 @@ def liar_census(n: int) -> LiarCensus:
         raise ValueError(f"census needs an odd composite, got {n}")
     fermat = euler = strong = 0
     for a in range(1, n):
-        f, e, s = liar_flags(n, a)
-        fermat += f
-        euler += e
-        strong += s
+        chain = _chain(n, a)
+        fermat += chain[-1] == 1
+        euler += chain[-2] in (1, n - 1)
+        strong += chain[0] == 1 or n - 1 in chain[:-1]
     return LiarCensus(n=n, total_bases=n - 1, fermat_liars=fermat, euler_liars=euler, strong_liars=strong)
 
 

@@ -25,6 +25,24 @@ def prime_flags():
     return _prime_flags
 
 
+def _liar_oracle(n: int, a: int) -> tuple[bool, bool, bool]:
+    m, s = n - 1, 0
+    while m % 2 == 0:
+        m, s = m // 2, s + 1
+    fermat = pow(a, n - 1, n) == 1
+    euler = pow(a, (n - 1) // 2, n) in (1, n - 1)
+    strong = pow(a, m, n) == 1 or any(pow(a, m << i, n) == n - 1 for i in range(s))
+    return fermat, euler, strong
+
+
+@pytest.fixture(scope="session")
+def liar_oracle():
+    """Independent round-test oracle from builtin pow alone:
+    liar_oracle(n, a) is the (fermat, euler, strong) pass flags of base a
+    against odd n >= 3."""
+    return _liar_oracle
+
+
 @pytest.fixture(scope="session")
 def pi_exact():
     """Exact prime-counting oracle pi(x) from the sieve."""

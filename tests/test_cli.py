@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from primegen import pseudolab
 from primegen.cli import main
 
 
@@ -236,9 +237,336 @@ class TestLabCommand:
         assert code == 3
         assert "refused" in err
 
+    def test_oversized_census_refused_before_any_row(self, capsys, monkeypatch):
+        def census(n):
+            raise AssertionError(f"census of {n} computed before the refusal")
+
+        monkeypatch.setattr(pseudolab, "liar_census", census)
+        code, out, err = run_cli(capsys, "lab", "census", "--start", "999001", "--end", "1000001")
+        assert code == 3
+        assert out == "" and "refused" in err
+
 
 class TestParser:
     def test_unknown_command_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+# CLI stdout bytes are part of the behaviour contract. These commands run all
+# three round tests through their drivers, and the liar census.
+GOLDEN = {
+    "test 561 --rounds 3 --seed 1": """\
+trial_division: COMPOSITE (smallest factor 3)
+fermat[m=3]: COMPOSITE (witness 66, factor 33)
+euler[m=3]: COMPOSITE (witness 139)
+miller_rabin[m=3]: COMPOSITE (witness 139)
+""",
+    "test 2047 --rounds 10 --seed 5": """\
+trial_division: COMPOSITE (smallest factor 23)
+fermat[m=10]: COMPOSITE (witness 1277)
+euler[m=10]: COMPOSITE (witness 1277)
+miller_rabin[m=10]: COMPOSITE (witness 1277)
+""",
+    "test 99991 --rounds 10 --seed 1": """\
+trial_division: PRIME
+fermat[m=10]: PROBABLE_PRIME
+euler[m=10]: PROBABLE_PRIME
+miller_rabin[m=10]: PROBABLE_PRIME
+""",
+    "test 170141183460469231731687303715884105727 --rounds 10 --seed 2": """\
+fermat[m=10]: PROBABLE_PRIME
+euler[m=10]: PROBABLE_PRIME
+miller_rabin[m=10]: PROBABLE_PRIME
+""",
+    "lab census --start 551 --end 651": """\
+n,total_bases,fermat_liars,euler_liars,strong_liars
+551,550,4,2,2
+553,552,36,36,18
+555,554,8,2,2
+559,558,36,18,18
+561,560,320,160,10
+565,564,16,8,6
+567,566,4,2,2
+573,572,4,4,2
+575,574,4,2,2
+579,578,4,2,2
+581,580,4,4,2
+583,582,4,2,2
+585,584,32,32,2
+589,588,36,36,18
+591,590,4,2,2
+595,594,24,6,6
+597,596,4,4,2
+603,602,4,2,2
+605,604,8,4,2
+609,608,16,16,2
+611,610,4,2,2
+615,614,8,2,2
+621,620,4,4,2
+623,622,4,2,2
+625,624,4,4,4
+627,626,8,2,2
+629,628,16,8,6
+633,632,4,4,2
+635,634,4,2,2
+637,636,72,36,18
+639,638,4,2,2
+645,644,112,56,14
+649,648,4,4,2
+651,650,40,10,10
+""",
+    "lab census --start 551 --end 651 --format json": """\
+[
+  {
+    "n": 551,
+    "total_bases": 550,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 553,
+    "total_bases": 552,
+    "fermat_liars": 36,
+    "euler_liars": 36,
+    "strong_liars": 18
+  },
+  {
+    "n": 555,
+    "total_bases": 554,
+    "fermat_liars": 8,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 559,
+    "total_bases": 558,
+    "fermat_liars": 36,
+    "euler_liars": 18,
+    "strong_liars": 18
+  },
+  {
+    "n": 561,
+    "total_bases": 560,
+    "fermat_liars": 320,
+    "euler_liars": 160,
+    "strong_liars": 10
+  },
+  {
+    "n": 565,
+    "total_bases": 564,
+    "fermat_liars": 16,
+    "euler_liars": 8,
+    "strong_liars": 6
+  },
+  {
+    "n": 567,
+    "total_bases": 566,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 573,
+    "total_bases": 572,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 575,
+    "total_bases": 574,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 579,
+    "total_bases": 578,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 581,
+    "total_bases": 580,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 583,
+    "total_bases": 582,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 585,
+    "total_bases": 584,
+    "fermat_liars": 32,
+    "euler_liars": 32,
+    "strong_liars": 2
+  },
+  {
+    "n": 589,
+    "total_bases": 588,
+    "fermat_liars": 36,
+    "euler_liars": 36,
+    "strong_liars": 18
+  },
+  {
+    "n": 591,
+    "total_bases": 590,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 595,
+    "total_bases": 594,
+    "fermat_liars": 24,
+    "euler_liars": 6,
+    "strong_liars": 6
+  },
+  {
+    "n": 597,
+    "total_bases": 596,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 603,
+    "total_bases": 602,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 605,
+    "total_bases": 604,
+    "fermat_liars": 8,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 609,
+    "total_bases": 608,
+    "fermat_liars": 16,
+    "euler_liars": 16,
+    "strong_liars": 2
+  },
+  {
+    "n": 611,
+    "total_bases": 610,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 615,
+    "total_bases": 614,
+    "fermat_liars": 8,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 621,
+    "total_bases": 620,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 623,
+    "total_bases": 622,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 625,
+    "total_bases": 624,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 4
+  },
+  {
+    "n": 627,
+    "total_bases": 626,
+    "fermat_liars": 8,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 629,
+    "total_bases": 628,
+    "fermat_liars": 16,
+    "euler_liars": 8,
+    "strong_liars": 6
+  },
+  {
+    "n": 633,
+    "total_bases": 632,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 635,
+    "total_bases": 634,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 637,
+    "total_bases": 636,
+    "fermat_liars": 72,
+    "euler_liars": 36,
+    "strong_liars": 18
+  },
+  {
+    "n": 639,
+    "total_bases": 638,
+    "fermat_liars": 4,
+    "euler_liars": 2,
+    "strong_liars": 2
+  },
+  {
+    "n": 645,
+    "total_bases": 644,
+    "fermat_liars": 112,
+    "euler_liars": 56,
+    "strong_liars": 14
+  },
+  {
+    "n": 649,
+    "total_bases": 648,
+    "fermat_liars": 4,
+    "euler_liars": 4,
+    "strong_liars": 2
+  },
+  {
+    "n": 651,
+    "total_bases": 650,
+    "fermat_liars": 40,
+    "euler_liars": 10,
+    "strong_liars": 10
+  }
+]
+""",
+    "lab absolute-euler 1729": """\
+true
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_golden_stdout(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == GOLDEN[command]

@@ -17,6 +17,7 @@ from primegen.primality import (
     has_small_factor,
     miller_rabin,
     miller_rabin_round,
+    mr_transcript,
     trial_division,
 )
 from primegen.sampling import make_stream
@@ -43,8 +44,9 @@ class TestFermatRound:
 
     def test_domain_errors(self):
         for n, a in ((4, 2), (3, 2), (9, 1), (9, 8), (561, 560)):
-            with pytest.raises(ValueError):
-                fermat_round(n, a)
+            for round_fn in (fermat_round, euler_round, miller_rabin_round, mr_transcript):
+                with pytest.raises(ValueError):
+                    round_fn(n, a)
 
 
 class TestEulerRound:
@@ -65,18 +67,19 @@ class TestEulerRound:
 
 class TestMillerRabinRound:
     def test_561_base_2_with_transcript(self):
-        verdict, transcript = miller_rabin_round(561, 2)
+        verdict = miller_rabin_round(561, 2)
         assert verdict.is_composite and verdict.witness == 2
+        transcript = mr_transcript(561, 2)
         assert (transcript.decomposition.s, transcript.decomposition.odd_part) == (4, 35)
         assert transcript.chain == (263, 166, 67, 1, 1)
 
     def test_strong_pseudoprime_2047(self):
-        verdict, _ = miller_rabin_round(2047, 2)
+        verdict = miller_rabin_round(2047, 2)
         assert verdict.is_probable_prime  # 2047 = 23 * 89
 
     def test_liar_7_for_25(self):
-        verdict, transcript = miller_rabin_round(25, 7)
-        assert verdict.is_probable_prime
+        assert miller_rabin_round(25, 7).is_probable_prime
+        transcript = mr_transcript(25, 7)
         assert transcript.chain[0] == 18 and transcript.chain[1] == 24
 
     def test_transcript_consistency_random(self):
@@ -84,7 +87,7 @@ class TestMillerRabinRound:
         for _ in range(300):
             n = rng.randrange(5, 10**6) | 1
             a = rng.randint(2, n - 2)
-            _, t = miller_rabin_round(n, a)
+            t = mr_transcript(n, a)
             assert len(t.chain) == t.decomposition.s + 1
             for i in range(1, len(t.chain)):
                 assert t.chain[i] == t.chain[i - 1] ** 2 % n
@@ -97,14 +100,13 @@ class TestMillerRabinRound:
         while seen < 200:
             n = rng.randrange(5, 10**5) | 1
             a = rng.randint(2, n - 2)
-            verdict, t = miller_rabin_round(n, a)
-            if verdict.is_probable_prime:
-                assert t.chain[-1] == 1
+            if miller_rabin_round(n, a).is_probable_prime:
+                assert mr_transcript(n, a).chain[-1] == 1
                 seen += 1
 
 
 class TestSoundnessOnPrimes:
-    def test_no_prime_has_a_witness(self, prime_flags):
+    def test_no_prime_has_a_witness(self, prime_flags, liar_oracle):
         flags = prime_flags(10**5)
         rng = random.Random(99)
         for n in range(5, 10**5, 2):
@@ -115,9 +117,8 @@ class TestSoundnessOnPrimes:
             else:
                 bases = [rng.randint(2, n - 2) for _ in range(50)]
             for a in bases:
-                assert fermat_round(n, a).is_probable_prime
-                assert euler_round(n, a).is_probable_prime
-                assert miller_rabin_round(n, a)[0].is_probable_prime
+                rounds = (fermat_round(n, a), euler_round(n, a), miller_rabin_round(n, a))
+                assert tuple(v.is_probable_prime for v in rounds) == liar_oracle(n, a) == (True, True, True)
 
 
 class TestHierarchy:
@@ -150,7 +151,7 @@ class TestMultiRoundDrivers:
 
     def test_nine_has_no_liar_bases_in_range(self):
         for a in range(2, 8):
-            assert miller_rabin_round(9, a)[0].is_composite
+            assert miller_rabin_round(9, a).is_composite
         for seed in range(5):
             assert miller_rabin(9, 3, make_stream(seed)).is_composite
 
