@@ -8,6 +8,7 @@ Reports go to stdout, diagnostics to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,7 +16,7 @@ from . import pseudolab
 from .confidence import bayes_confidence, rounds_for_confidence
 from .density import Mode, base_prime_prob, digit_prime_count, digit_prime_count_bounds, filtered_prime_prob
 from .errors import RefusalError
-from .experiment import ExperimentConfig, generate_prime, render_report, run_experiment
+from .experiment import ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
 from .primality import ExactOutcome, euler_test, fermat_test, miller_rabin, trial_division
 from .sampling import FilterPolicy, make_stream, pool_size
 
@@ -23,11 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-POLICIES = {
-    "none": FilterPolicy.none(),
-    "last-digit": FilterPolicy.last_digit_only(),
-    "both": FilterPolicy.both(),
-}
+POLICIES = {p.label: p for p in (FilterPolicy.none(), FilterPolicy.last_digit_only(), FilterPolicy.both())}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,11 +124,10 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     )
     report = result.confidence
     print(result.value)
-    print(f"digits: {args.digits}")
-    print(f"attempts: {result.attempts}")
-    print(f"rounds: {result.rounds}")
-    print(f"prior: {report.prior_p:.9f}")
-    print(f"confidence_lower_bound: {_bound_text(report.lower_bound)}")
+    print(render_fields([
+        ("digits", args.digits), ("attempts", result.attempts), ("rounds", result.rounds),
+        ("prior", f"{report.prior_p:.9f}"), ("confidence_lower_bound", _bound_text(report.lower_bound)),
+    ]))
 
 
 def _cmd_test(args: argparse.Namespace) -> None:
@@ -175,8 +171,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     records, summary = run_experiment(config)
     if args.format == "csv":
         text = render_report(records, "csv")
-        for line in _summary_diag(summary):
-            print(line, file=sys.stderr)
+        print(render_fields(summary.fields()[-3:]), file=sys.stderr)
     else:
         text = render_report(records, args.format, summary)
     if args.out:
@@ -185,12 +180,6 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text)
-
-
-def _summary_diag(summary) -> list[str]:
-    return [f"probable_primes: {summary.prime_count}",
-            f"expected_primes: {summary.expected_primes:.9f}",
-            f"confidence_lower_bound: {summary.confidence_lower_bound:.9f}"]
 
 
 def _parse_digit_range(text: str) -> range:
@@ -221,18 +210,10 @@ def _cmd_density(args: argparse.Namespace) -> None:
             "base_prob": f"{base_prime_prob(k):.9f}",
             "filtered_prob": f"{filtered_prime_prob(k, policy, mode):.9f}",
         })
-    header = list(rows[0])
     if args.format == "json":
         print(json.dumps({"policy": args.policy, "mode": args.mode, "rows": rows}, indent=2))
-    elif args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
     else:
-        widths = {h: max(len(h), max(len(str(r[h])) for r in rows)) for h in header}
-        print("  ".join(h.ljust(widths[h]) for h in header))
-        for row in rows:
-            print("  ".join(str(row[h]).ljust(widths[h]) for h in header))
+        print(render_rows(list(rows[0]), [row.values() for row in rows], args.format))
 
 
 def str_at(value, exp10: int) -> str:
@@ -258,12 +239,10 @@ def _cmd_confidence(args: argparse.Namespace) -> None:
     if args.format == "json":
         print(json.dumps(fields, indent=2))
     elif args.format == "csv":
-        print(",".join(fields))
-        print(",".join(str(v) for v in fields.values()))
+        print(render_rows(list(fields), [fields.values()], "csv"))
     else:
         fields["lower_bound"] = _bound_text(report.lower_bound)
-        for key, value in fields.items():
-            print(f"{key}: {value}")
+        print(render_fields(fields.items()))
 
 
 def _bound_text(bound: float) -> str:
@@ -272,19 +251,10 @@ def _bound_text(bound: float) -> str:
 
 def _cmd_lab(args: argparse.Namespace) -> None:
     if args.lab_command == "census":
-        if args.end > pseudolab.CENSUS_CAP:
-            raise RefusalError(f"census capped at {pseudolab.CENSUS_CAP}, got --end {args.end}")
-        rows = []
-        for n in range(args.start | 1, args.end + 1, 2):
-            if trial_division(n).outcome is not ExactOutcome.COMPOSITE:
-                continue
-            rows.append(pseudolab.liar_census(n))
-        if args.format == "json":
-            print(json.dumps([row.__dict__ for row in rows], indent=2))
-        else:
-            print("n,total_bases,fermat_liars,euler_liars,strong_liars")
-            for row in rows:
-                print(f"{row.n},{row.total_bases},{row.fermat_liars},{row.euler_liars},{row.strong_liars}")
+        rows = [dataclasses.astuple(pseudolab.liar_census(n)) for n in pseudolab.census_range(args.start, args.end)
+                if trial_division(n).outcome is ExactOutcome.COMPOSITE]
+        header = [f.name for f in dataclasses.fields(pseudolab.LiarCensus)]
+        print(render_rows(header, rows, args.format))
     elif args.lab_command == "carmichael":
         for n in pseudolab.carmichael_numbers(args.limit):
             print(n)

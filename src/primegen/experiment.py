@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import Mode, filtered_prime_prob
@@ -18,7 +18,7 @@ from .errors import RefusalError
 from .primality import TestVerdict, has_small_factor, miller_rabin
 from .sampling import Candidate, FilterPolicy, make_stream, random_candidate
 
-CSV_HEADER = "number,verdict,rounds_used,confidence_lower_bound"
+CSV_HEADER = ("number", "verdict", "rounds_used", "confidence_lower_bound")
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,15 @@ class ExperimentSummary:
     prime_count: int
     expected_primes: float
     confidence_lower_bound: float
+
+    def fields(self) -> list[tuple[str, object]]:
+        """The summary block as (key, value) pairs; the last three are the outcome."""
+        return [
+            ("candidates", self.count), ("digits", self.digits), ("rounds", self.rounds), ("seed", self.seed),
+            ("policy", self.policy), ("mode", self.mode), ("probable_primes", self.prime_count),
+            ("expected_primes", f"{self.expected_primes:.9f}"),
+            ("confidence_lower_bound", f"{self.confidence_lower_bound:.9f}"),
+        ]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], ExperimentSummary]:
@@ -152,52 +161,51 @@ def generate_prime(
     raise RefusalError(f"no candidate survived within {max_attempts} attempts")
 
 
+def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str) -> str:
+    """Rows under a header as csv, a json array of objects, or a table.
+
+    Table columns are left-aligned, padded to their widest cell and two
+    spaces apart. Cells are rendered with str(), so callers pass numbers
+    already formatted where a fixed form matters.
+    """
+    rows = list(rows)
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    cells = [list(header)] + [[str(v) for v in row] for row in rows]
+    if fmt == "csv":
+        return "\n".join(",".join(line) for line in cells)
+    if fmt == "table":
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells)
+    raise ValueError(f"unknown output format {fmt!r}")
+
+
+def render_fields(fields: Iterable[tuple[str, object]]) -> str:
+    """One "key: value" line per field."""
+    return "\n".join(f"{key}: {value}" for key, value in fields)
+
+
 def render_report(records: Iterable[ExperimentRecord], output_format: str = "table",
                   summary: ExperimentSummary | None = None) -> str:
     """Render records; numbers always in full decimal, never scientific.
 
     table: one "<number> <PRIME|COMPOSITE>" line per record (plus a
-    trailing summary block when given). csv: fixed header, empty
+    trailing summary block when given). csv: CSV_HEADER, empty
     confidence field for composites. json: records array plus summary.
     """
+    values = [(r.candidate.n, r.label, r.rounds_used, r.confidence_lower_bound) for r in records]
     if output_format == "table":
-        lines = [f"{r.candidate.n} {r.label}" for r in records]
+        lines = [f"{n} {label}" for n, label, _, _ in values]
         if summary is not None:
-            lines.append("")
-            lines.extend(_summary_lines(summary))
+            lines += ["", render_fields(summary.fields())]
         return "\n".join(lines)
     if output_format == "csv":
-        rows = [CSV_HEADER]
-        for r in records:
-            conf = f"{r.confidence_lower_bound:.9f}" if r.confidence_lower_bound is not None else ""
-            rows.append(f"{r.candidate.n},{r.label},{r.rounds_used},{conf}")
-        return "\n".join(rows)
+        rows = [(n, label, used, "" if bound is None else f"{bound:.9f}") for n, label, used, bound in values]
+        return render_rows(CSV_HEADER, rows, "csv")
     if output_format == "json":
         payload = {
-            "records": [
-                {
-                    "number": r.candidate.n,
-                    "verdict": r.label,
-                    "rounds_used": r.rounds_used,
-                    "confidence_lower_bound": r.confidence_lower_bound,
-                }
-                for r in records
-            ],
+            "records": [dict(zip(CSV_HEADER, v)) for v in values],
             "summary": None if summary is None else summary.__dict__,
         }
         return json.dumps(payload, indent=2)
     raise ValueError(f"unknown output format {output_format!r}")
-
-
-def _summary_lines(summary: ExperimentSummary) -> list[str]:
-    return [
-        f"candidates: {summary.count}",
-        f"digits: {summary.digits}",
-        f"rounds: {summary.rounds}",
-        f"seed: {summary.seed}",
-        f"policy: {summary.policy}",
-        f"mode: {summary.mode}",
-        f"probable_primes: {summary.prime_count}",
-        f"expected_primes: {summary.expected_primes:.9f}",
-        f"confidence_lower_bound: {summary.confidence_lower_bound:.9f}",
-    ]

@@ -17,6 +17,9 @@ from .primality import ExactOutcome, _chain, factor_table, trial_division
 FERMAT_SCAN_CAP = 10**7
 CARMICHAEL_CAP = 10**6
 CENSUS_CAP = 10**6
+# Bases one census sweep may classify, n - 1 for each odd n in its range:
+# ~18 s at ~1.8 us per base (Python 3.11).
+CENSUS_BASE_BUDGET = 10**7
 ABSOLUTE_EULER_CAP = 10**6
 SQRT_UNITY_CAP = 10**9
 
@@ -61,6 +64,17 @@ def liar_census(n: int) -> LiarCensus:
         euler += chain[-2] in (1, n - 1)
         strong += chain[0] == 1 or n - 1 in chain[:-1]
     return LiarCensus(n=n, total_bases=n - 1, fermat_liars=fermat, euler_liars=euler, strong_liars=strong)
+
+
+def census_range(start: int, end: int) -> range:
+    """The odd n in [start, end], refused before any work when a census of
+    each would pass CENSUS_CAP or classify more than CENSUS_BASE_BUDGET bases."""
+    odd = range(start | 1, end + 1, 2)
+    bases = len(odd) * (odd[0] + odd[-1] - 2) // 2 if odd else 0
+    if end > CENSUS_CAP or bases > CENSUS_BASE_BUDGET:
+        raise RefusalError(f"census over [{start}, {end}] would classify {bases} bases;"
+                           f" caps: n <= {CENSUS_CAP}, {CENSUS_BASE_BUDGET} bases")
+    return odd
 
 
 def fermat_pseudoprimes(a: int, limit: int) -> list[int]:

@@ -246,6 +246,15 @@ class TestLabCommand:
         assert code == 3
         assert out == "" and "refused" in err
 
+    def test_costly_census_below_the_cap_refused_before_any_row(self, capsys, monkeypatch):
+        def census(n):
+            raise AssertionError(f"census of {n} computed before the refusal")
+
+        monkeypatch.setattr(pseudolab, "liar_census", census)
+        code, out, err = run_cli(capsys, "lab", "census", "--start", "9", "--end", "1000000")
+        assert code == 3
+        assert out == "" and "refused" in err
+
 
 class TestParser:
     def test_unknown_command_exits_with_usage_error(self):
@@ -255,7 +264,8 @@ class TestParser:
 
 
 # CLI stdout bytes are part of the behaviour contract. These commands run all
-# three round tests through their drivers, and the liar census.
+# three round tests through their drivers, the liar census, and every report
+# renderer: tables with padded and empty columns, csv, json and key: value lines.
 GOLDEN = {
     "test 561 --rounds 3 --seed 1": """\
 trial_division: COMPOSITE (smallest factor 3)
@@ -562,6 +572,182 @@ n,total_bases,fermat_liars,euler_liars,strong_liars
     "lab absolute-euler 1729": """\
 true
 """,
+    "density --digits 4-7": (
+        "digits  pool_size       prime_count_estimate  dusart_lower    dusart_upper    base_prob    filtered_prob\n"
+        "4       2.400000000e+3  0.940971377e+3                                        0.104552375  0.392071407  \n"
+        "5       2.400000000e+4  0.760015343e+4                                        0.084446149  0.316673060  \n"
+        "6       2.400000000e+5  0.636965240e+5        0.684269965e+5  0.691320090e+5  0.070773916  0.265402183  \n"
+        "7       2.400000000e+6  0.548038275e+6        0.582814862e+6  0.587832939e+6  0.060893142  0.228349281  \n"
+    ),
+    "density --digits 4-7 --format csv": """\
+digits,pool_size,prime_count_estimate,dusart_lower,dusart_upper,base_prob,filtered_prob
+4,2.400000000e+3,0.940971377e+3,,,0.104552375,0.392071407
+5,2.400000000e+4,0.760015343e+4,,,0.084446149,0.316673060
+6,2.400000000e+5,0.636965240e+5,0.684269965e+5,0.691320090e+5,0.070773916,0.265402183
+7,2.400000000e+6,0.548038275e+6,0.582814862e+6,0.587832939e+6,0.060893142,0.228349281
+""",
+    "density --digits 4-7 --format json": """\
+{
+  "policy": "both",
+  "mode": "corrected",
+  "rows": [
+    {
+      "digits": 4,
+      "pool_size": "2.400000000e+3",
+      "prime_count_estimate": "0.940971377e+3",
+      "dusart_lower": "",
+      "dusart_upper": "",
+      "base_prob": "0.104552375",
+      "filtered_prob": "0.392071407"
+    },
+    {
+      "digits": 5,
+      "pool_size": "2.400000000e+4",
+      "prime_count_estimate": "0.760015343e+4",
+      "dusart_lower": "",
+      "dusart_upper": "",
+      "base_prob": "0.084446149",
+      "filtered_prob": "0.316673060"
+    },
+    {
+      "digits": 6,
+      "pool_size": "2.400000000e+5",
+      "prime_count_estimate": "0.636965240e+5",
+      "dusart_lower": "0.684269965e+5",
+      "dusart_upper": "0.691320090e+5",
+      "base_prob": "0.070773916",
+      "filtered_prob": "0.265402183"
+    },
+    {
+      "digits": 7,
+      "pool_size": "2.400000000e+6",
+      "prime_count_estimate": "0.548038275e+6",
+      "dusart_lower": "0.582814862e+6",
+      "dusart_upper": "0.587832939e+6",
+      "base_prob": "0.060893142",
+      "filtered_prob": "0.228349281"
+    }
+  ]
+}
+""",
+    "confidence --prior 1e-9 --rounds 1": """\
+prior_p: 0.000000001
+prior_c: 0.999999999
+rounds: 1
+ratio: 999999999.000000000
+slack: 249999999.750000000
+lower_bound: < 0 (uninformative)
+exact_posterior: 0.000000004
+""",
+    "confidence --digits 75 --rounds 4 --target-confidence 0.999978 --format csv": """\
+prior_p,prior_c,rounds,ratio,slack,lower_bound,exact_posterior,rounds_for_target
+0.021682119,0.978317881,4,45.120952539,0.176253721,0.823746279,0.850156716,11
+""",
+    "confidence --digits 75 --rounds 10 --format json": """\
+{
+  "prior_p": "0.021682119",
+  "prior_c": "0.978317881",
+  "rounds": 10,
+  "ratio": "45.120952539",
+  "slack": "0.000043031",
+  "lower_bound": "0.999956969",
+  "exact_posterior": "0.999956971"
+}
+""",
+    "experiment --digits 12 --count 6 --rounds 5 --seed 3": """\
+448551289379 COMPOSITE
+839629626769 PRIME
+696028567039 COMPOSITE
+283781303867 PRIME
+433094936041 COMPOSITE
+371105518811 COMPOSITE
+
+candidates: 6
+digits: 12
+rounds: 5
+seed: 3
+policy: both
+mode: corrected
+probable_primes: 2
+expected_primes: 0.806076879
+confidence_lower_bound: 0.993707560
+""",
+    "experiment --digits 12 --count 6 --rounds 5 --seed 3 --format csv": """\
+number,verdict,rounds_used,confidence_lower_bound
+448551289379,COMPOSITE,1,
+839629626769,PRIME,5,0.993707560
+696028567039,COMPOSITE,1,
+283781303867,PRIME,5,0.993707560
+433094936041,COMPOSITE,1,
+371105518811,COMPOSITE,1,
+""",
+    "experiment --digits 12 --count 6 --rounds 5 --seed 3 --format json": """\
+{
+  "records": [
+    {
+      "number": 448551289379,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    },
+    {
+      "number": 839629626769,
+      "verdict": "PRIME",
+      "rounds_used": 5,
+      "confidence_lower_bound": 0.9937075598148466
+    },
+    {
+      "number": 696028567039,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    },
+    {
+      "number": 283781303867,
+      "verdict": "PRIME",
+      "rounds_used": 5,
+      "confidence_lower_bound": 0.9937075598148466
+    },
+    {
+      "number": 433094936041,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    },
+    {
+      "number": 371105518811,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    }
+  ],
+  "summary": {
+    "digits": 12,
+    "count": 6,
+    "rounds": 5,
+    "seed": 3,
+    "policy": "both",
+    "mode": "corrected",
+    "prime_count": 2,
+    "expected_primes": 0.8060768792901263,
+    "confidence_lower_bound": 0.9937075598148466
+  }
+}
+""",
+    "generate --digits 20 --seed 5": """\
+95936814003435550591
+digits: 20
+attempts: 2
+rounds: 7
+prior: 0.080954015
+confidence_lower_bound: 0.999307087
+""",
+    "lab census --start 11 --end 13": """\
+n,total_bases,fermat_liars,euler_liars,strong_liars
+""",
+    "lab census --start 11 --end 13 --format json": """\
+[]
+""",
 }
 
 
@@ -570,3 +756,9 @@ def test_golden_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out == GOLDEN[command]
+
+
+def test_experiment_csv_writes_summary_to_stderr(capsys):
+    code, _, err = run_cli(capsys, *"experiment --digits 12 --count 6 --rounds 5 --seed 3 --format csv".split())
+    assert code == 0
+    assert err == "probable_primes: 2\nexpected_primes: 0.806076879\nconfidence_lower_bound: 0.993707560\n"

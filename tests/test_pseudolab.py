@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from primegen import pseudolab
 from primegen.errors import RefusalError
 from primegen.primality import ExactOutcome, euler_round, fermat_round, miller_rabin, miller_rabin_round, trial_division
 from primegen.pseudolab import (
     LiarCensus,
     carmichael_numbers,
+    census_range,
     fermat_pseudoprimes,
     is_absolute_euler_pseudoprime,
     liar_census,
@@ -83,6 +85,25 @@ class TestLiarCensus:
             liar_census(100)  # even
         with pytest.raises(RefusalError):
             liar_census(10**6 + 9)
+
+
+class TestCensusRange:
+    def test_odd_members(self):
+        assert list(census_range(9, 15)) == [9, 11, 13, 15]
+        assert list(census_range(10, 14)) == [11, 13]
+        assert list(census_range(14, 13)) == []
+
+    @pytest.mark.parametrize("start, end", [(9, 9), (9, 15), (10, 14), (551, 651), (2, 3000), (999001, 999999)])
+    def test_budget_is_the_exact_base_count(self, monkeypatch, start, end):
+        bases = sum(n - 1 for n in range(start, end + 1) if n % 2)
+        monkeypatch.setattr(pseudolab, "CENSUS_BASE_BUDGET", bases)
+        assert len(census_range(start, end)) > 0
+        monkeypatch.setattr(pseudolab, "CENSUS_BASE_BUDGET", bases - 1)
+        with pytest.raises(RefusalError):
+            census_range(start, end)
+
+    def test_readme_sweep_fits_the_budget(self):
+        assert len(census_range(9, 5000)) == 2496  # ~6.2M bases
 
 
 class TestFermatPseudoprimes:
