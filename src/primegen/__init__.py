@@ -2,7 +2,7 @@
 
 Candidate pre-filtering (last digit, digital root), Fermat / Euler /
 Miller-Rabin testing, prime-density estimates, Bayesian confidence
-bounds, and a brute-force pseudoprime lab, behind one CLI.
+bounds, and a pseudoprime lab, behind one CLI.
 """
 
 from .arith import TwoAdicDecomposition, decompose_pow2, digital_root, extended_gcd, mod_pow
@@ -49,7 +49,6 @@ from .pseudolab import (
     fermat_pseudoprimes,
     is_absolute_euler_pseudoprime,
     liar_census,
-    liar_flags,
     sqrt_of_unity,
 )
 from .sampling import Candidate, FilterPolicy, make_stream, passes_filter, pool_size, random_candidate
@@ -95,7 +94,6 @@ __all__ = [
     "generate_prime",
     "is_absolute_euler_pseudoprime",
     "liar_census",
-    "liar_flags",
     "make_stream",
     "miller_rabin",
     "miller_rabin_round",

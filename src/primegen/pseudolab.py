@@ -1,8 +1,9 @@
-"""Brute-force enumeration lab for pseudoprimes, liars and witnesses.
+"""Pseudoprime lab: liar counts, pseudoprimes and square roots of unity.
 
-Everything here is desk-scale by design: sweeps are capped and refuse
-to run past their caps instead of silently taking hours. Each n is
-classified independently, so sweeps parallelize trivially.
+Liar counts, the absolute Euler check and the roots of unity come from
+the prime factors of n; the Fermat-pseudoprime and Carmichael scans
+sieve a range. Sweeps are capped and refuse to run past their caps
+instead of silently taking hours.
 """
 
 from __future__ import annotations
@@ -10,23 +11,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import extended_gcd
+from .arith import decompose_pow2, extended_gcd
 from .errors import RefusalError
-from .primality import ExactOutcome, _chain, factor_table, trial_division
+from .primality import factor_table, trial_division
 
 FERMAT_SCAN_CAP = 10**7
 CARMICHAEL_CAP = 10**6
 CENSUS_CAP = 10**6
-# Bases one census sweep may classify, n - 1 for each odd n in its range:
-# ~18 s at ~1.8 us per base (Python 3.11).
-CENSUS_BASE_BUDGET = 10**7
+# Odd n one census sweep may cover: ~3 s and ~76 MB peak RSS as csv at
+# the top of the range (Python 3.11).
+CENSUS_ROW_CAP = 10**5
 ABSOLUTE_EULER_CAP = 10**6
 SQRT_UNITY_CAP = 10**9
 
 
 @dataclass(frozen=True)
 class LiarCensus:
-    """Exhaustive classification of all bases 1..n-1 for an odd composite n.
+    """Liar counts over all bases 1..n-1 for an odd composite n.
 
     Liar counts are nested (strong <= euler <= fermat); bases sharing a
     factor with n can satisfy none of the congruences and count as
@@ -41,44 +42,57 @@ class LiarCensus:
     strong_liars: int
 
 
-def liar_flags(n: int, a: int) -> tuple[bool, bool, bool]:
-    """(fermat, euler, strong) liar flags for base a against odd n >= 3."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if not 1 <= a <= n - 1:
-        raise ValueError("base must lie in [1, n-1]")
-    chain = _chain(n, a)
-    return chain[-1] == 1, chain[-2] in (1, n - 1), chain[0] == 1 or n - 1 in chain[:-1]
+def _odd_composite_factors(n: int, what: str) -> dict[int, int]:
+    factors = _factorize(n)
+    if n % 2 == 0 or sum(factors.values()) < 2:
+        raise ValueError(f"{what} needs an odd composite, got {n}")
+    return factors
 
 
 def liar_census(n: int) -> LiarCensus:
-    """Classify every base in [1, n-1] under all three round tests."""
+    """Count the liars in [1, n-1] to the Fermat, Euler and strong rounds.
+
+    Closed forms over the distinct primes p of n: the units mod p^j are
+    cyclic of order p^(j-1)(p-1), p prime to n-1, so x^m = 1 has
+    gcd(m, p-1) roots, x^m = -1 as many when v2(m) < v2(p-1) and none
+    otherwise, and the Chinese remainder theorem multiplies the counts.
+    With n-1 = 2^k n', omega primes and e = min v2(p-1) <= k:
+      Fermat, a^(n-1) = 1: prod gcd(n-1, p-1);
+      strong (Monier 1980), a^n' = 1 or a^(2^r n') = -1 with r < e:
+        (1 + (2^(e omega) - 1)/(2^omega - 1)) prod gcd(n', p-1);
+      Euler as tested here, a^((n-1)/2) = +-1: prod gcd((n-1)/2, p-1),
+        doubled when e = k. Monier's Euler-Jacobi count is for another
+        test, a^((n-1)/2) = (a/n): at n = 21 it gives 2, this one 4.
+    """
     if n > CENSUS_CAP:
         raise RefusalError(f"census capped at {CENSUS_CAP}, got {n}")
-    if n % 2 == 0 or trial_division(n).outcome is not ExactOutcome.COMPOSITE:
-        raise ValueError(f"census needs an odd composite, got {n}")
-    fermat = euler = strong = 0
-    for a in range(1, n):
-        chain = _chain(n, a)
-        fermat += chain[-1] == 1
-        euler += chain[-2] in (1, n - 1)
-        strong += chain[0] == 1 or n - 1 in chain[:-1]
+    primes = list(_odd_composite_factors(n, "census"))
+    k = decompose_pow2(n - 1).s
+    e = min(decompose_pow2(p - 1).s for p in primes)
+    omega = len(primes)
+    fermat = math.prod(math.gcd(n - 1, p - 1) for p in primes)
+    euler = math.prod(math.gcd((n - 1) // 2, p - 1) for p in primes) * (2 if e == k else 1)
+    chains = 1 + (2 ** (e * omega) - 1) // (2**omega - 1)
+    strong = chains * math.prod(math.gcd((n - 1) >> k, p - 1) for p in primes)
     return LiarCensus(n=n, total_bases=n - 1, fermat_liars=fermat, euler_liars=euler, strong_liars=strong)
 
 
 def census_range(start: int, end: int) -> range:
     """The odd n in [start, end], refused before any work when a census of
-    each would pass CENSUS_CAP or classify more than CENSUS_BASE_BUDGET bases."""
+    each would pass CENSUS_CAP or there are more than CENSUS_ROW_CAP of them."""
     odd = range(start | 1, end + 1, 2)
-    bases = len(odd) * (odd[0] + odd[-1] - 2) // 2 if odd else 0
-    if end > CENSUS_CAP or bases > CENSUS_BASE_BUDGET:
-        raise RefusalError(f"census over [{start}, {end}] would classify {bases} bases;"
-                           f" caps: n <= {CENSUS_CAP}, {CENSUS_BASE_BUDGET} bases")
+    if end > CENSUS_CAP or len(odd) > CENSUS_ROW_CAP:
+        raise RefusalError(f"census over [{start}, {end}] would cover {len(odd)} odd n;"
+                           f" caps: n <= {CENSUS_CAP}, {CENSUS_ROW_CAP} odd n")
     return odd
 
 
 def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
-    """Odd composite n <= limit, coprime to a, with a^(n-1) = 1 (mod n)."""
+    """Odd composite n <= limit, coprime to a, with a^(n-1) = 1 (mod n).
+
+    A base sharing a prime p with n has a^(n-1) = 0 (mod p), never 1,
+    so the congruence alone excludes it.
+    """
     if a < 2:
         raise ValueError("base must be >= 2")
     if limit > FERMAT_SCAN_CAP:
@@ -86,13 +100,7 @@ def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
     if limit < 9:
         return []
     table = factor_table(limit)
-    found = []
-    for n in range(9, limit + 1, 2):
-        if not table[n] or math.gcd(a, n) != 1:
-            continue
-        if pow(a, n - 1, n) == 1:
-            found.append(n)
-    return found
+    return [n for n in range(9, limit + 1, 2) if table[n] and pow(a, n - 1, n) == 1]
 
 
 def carmichael_numbers(limit: int) -> list[int]:
@@ -113,33 +121,26 @@ def carmichael_numbers(limit: int) -> list[int]:
         if not table[n]:
             continue
         m = n
-        squarefree = True
-        korselt = True
         while m > 1:
             p = table[m] or m
             m //= p
-            if m % p == 0:
-                squarefree = False
+            if m % p == 0 or (n - 1) % (p - 1):
                 break
-            if (n - 1) % (p - 1):
-                korselt = False
-                break
-        if squarefree and korselt:
+        else:
             found.append(n)
     return found
 
 
 def is_absolute_euler_pseudoprime(n: int) -> bool:
-    """True iff a^((n-1)/2) = +-1 (mod n) for every base coprime to n."""
+    """True iff a^((n-1)/2) = +-1 (mod n) for every base coprime to n,
+    that is, iff n is squarefree and p - 1 divides (n-1)/2 for every
+    prime p of n: a base that generates the units mod p^j and is 1 mod
+    n/p^j must give 1, so p^(j-1)(p-1) divides (n-1)/2, which p does not.
+    """
     if n > ABSOLUTE_EULER_CAP:
         raise RefusalError(f"check capped at {ABSOLUTE_EULER_CAP}, got {n}")
-    if n % 2 == 0 or trial_division(n).outcome is not ExactOutcome.COMPOSITE:
-        raise ValueError(f"check needs an odd composite, got {n}")
-    half = (n - 1) // 2
-    for a in range(2, n - 1):
-        if math.gcd(a, n) == 1 and pow(a, half, n) not in (1, n - 1):
-            return False
-    return True
+    factors = _odd_composite_factors(n, "check")
+    return all(j == 1 and ((n - 1) // 2) % (p - 1) == 0 for p, j in factors.items())
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -13,7 +13,6 @@ from primegen.pseudolab import (
     fermat_pseudoprimes,
     is_absolute_euler_pseudoprime,
     liar_census,
-    liar_flags,
     sqrt_of_unity,
 )
 from primegen.sampling import make_stream
@@ -39,15 +38,8 @@ class TestLiarFlags:
             if flags[n]:
                 continue
             for a in range(2, n - 1):
-                expected = liar_oracle(n, a)
-                assert liar_flags(n, a) == expected
                 rounds = (fermat_round(n, a), euler_round(n, a), miller_rabin_round(n, a))
-                assert tuple(v.is_probable_prime for v in rounds) == expected
-
-    def test_trivial_bases_are_always_liars(self):
-        for n in (9, 15, 561, 1105):
-            for a in (1, n - 1):
-                assert liar_flags(n, a) == (True, True, True)
+                assert tuple(v.is_probable_prime for v in rounds) == liar_oracle(n, a)
 
 
 class TestLiarCensus:
@@ -70,6 +62,22 @@ class TestLiarCensus:
     @pytest.mark.parametrize("n", [9, 15, 21, 25, 49, 91, 561])
     def test_against_round_test_census(self, n, liar_oracle):
         assert liar_census(n) == census_via_oracle(n, liar_oracle)
+
+    def test_matches_oracle_census_for_every_odd_composite_to_2000(self, prime_flags, liar_oracle):
+        for n in odd_composites(2000, prime_flags):
+            assert liar_census(n) == census_via_oracle(n, liar_oracle), n
+
+    @pytest.mark.parametrize(
+        "n, fermat, euler, strong",
+        [
+            (999301, 3600, 1800, 1350),  # 181 * 5521, e = k = 2: Euler count doubled
+            (999337, 64, 32, 22),  # 233 * 4289, e = k = 3
+            (999999, 32, 2, 2),  # 3^3 * 7 * 11 * 13 * 37, not squarefree
+        ],
+    )
+    def test_pinned_near_a_million(self, n, fermat, euler, strong):
+        # values from census_via_oracle, a one-off exhaustive run over all n - 1 bases
+        assert liar_census(n) == LiarCensus(n, n - 1, fermat, euler, strong)
 
     def test_hierarchy_and_trivial_liars(self, prime_flags):
         for n in odd_composites(501, prime_flags):
@@ -94,16 +102,19 @@ class TestCensusRange:
         assert list(census_range(14, 13)) == []
 
     @pytest.mark.parametrize("start, end", [(9, 9), (9, 15), (10, 14), (551, 651), (2, 3000), (999001, 999999)])
-    def test_budget_is_the_exact_base_count(self, monkeypatch, start, end):
-        bases = sum(n - 1 for n in range(start, end + 1) if n % 2)
-        monkeypatch.setattr(pseudolab, "CENSUS_BASE_BUDGET", bases)
-        assert len(census_range(start, end)) > 0
-        monkeypatch.setattr(pseudolab, "CENSUS_BASE_BUDGET", bases - 1)
+    def test_row_cap_is_the_exact_odd_count(self, monkeypatch, start, end):
+        rows = sum(n % 2 for n in range(start, end + 1))
+        monkeypatch.setattr(pseudolab, "CENSUS_ROW_CAP", rows)
+        assert len(census_range(start, end)) == rows
+        monkeypatch.setattr(pseudolab, "CENSUS_ROW_CAP", rows - 1)
         with pytest.raises(RefusalError):
             census_range(start, end)
 
     def test_readme_sweep_fits_the_budget(self):
-        assert len(census_range(9, 5000)) == 2496  # ~6.2M bases
+        assert len(census_range(9, 5000)) == 2496
+
+    def test_top_of_the_range_fits_the_row_cap(self):
+        assert len(census_range(800001, 10**6)) == 10**5
 
 
 class TestFermatPseudoprimes:
@@ -240,6 +251,12 @@ class TestAbsoluteEulerPseudoprimes:
         for a in range(2, n - 1):
             if math.gcd(a, n) == 1:
                 assert euler_round(n, a).is_probable_prime
+
+    def test_matches_pow_scan_for_every_odd_composite_to_3000(self, prime_flags):
+        for n in odd_composites(3000, prime_flags):
+            half = (n - 1) // 2
+            scan = all(pow(a, half, n) in (1, n - 1) for a in range(2, n - 1) if math.gcd(a, n) == 1)
+            assert is_absolute_euler_pseudoprime(n) == scan, n
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
