@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import sys
 
 from . import pseudolab
@@ -17,7 +18,8 @@ from .confidence import bayes_confidence, rounds_for_confidence
 from .density import Mode, base_prime_prob, digit_prime_count, digit_prime_count_bounds, filtered_prime_prob
 from .errors import RefusalError
 from .experiment import ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
-from .primality import ExactOutcome, euler_test, fermat_test, miller_rabin, trial_division
+from .primality import ExactOutcome, compare_tests, trial_division
+from .primality import euler_test, fermat_test, miller_rabin  # noqa: F401 (bench/spans.py wraps them here)
 from .sampling import FilterPolicy, make_stream, pool_size
 
 EXIT_OK = 0
@@ -143,17 +145,11 @@ def _cmd_test(args: argparse.Namespace) -> None:
     if n < 5 or n % 2 == 0:
         print("probabilistic tests need odd n >= 5; skipped", file=sys.stderr)
         return
-    names = (("fermat", fermat_test), ("euler", euler_test), ("miller_rabin", miller_rabin))
-    for label, test in names:
-        verdict = test(n, args.rounds, make_stream(args.seed))
+    for label, verdict in compare_tests(n, args.rounds, make_stream(args.seed)).items():
         line = f"{label}[m={args.rounds}]: {verdict.outcome.value.upper().replace(' ', '_')}"
-        if verdict.is_composite:
-            evidence = []
-            if verdict.witness is not None:
-                evidence.append(f"witness {verdict.witness}")
-            if verdict.factor is not None:
-                evidence.append(f"factor {verdict.factor}")
-            line += f" ({', '.join(evidence)})"
+        if verdict.is_composite:  # a driver's composite verdict always names its witness base
+            factor = "" if verdict.factor is None else f", factor {verdict.factor}"
+            line += f" (witness {verdict.witness}{factor})"
         elif exact is not None and exact.outcome is ExactOutcome.COMPOSITE:
             line += "  ** false positive: exact oracle says composite **"
         print(line)
@@ -251,9 +247,8 @@ def _bound_text(bound: float) -> str:
 
 def _cmd_lab(args: argparse.Namespace) -> None:
     if args.lab_command == "census":
-        rows = [dataclasses.astuple(pseudolab.liar_census(n)) for n in pseudolab.census_range(args.start, args.end)
-                if trial_division(n).outcome is ExactOutcome.COMPOSITE]
         header = [f.name for f in dataclasses.fields(pseudolab.LiarCensus)]
+        rows = map(operator.attrgetter(*header), pseudolab.composite_censuses(args.start, args.end))
         print(render_rows(header, rows, args.format))
     elif args.lab_command == "carmichael":
         for n in pseudolab.carmichael_numbers(args.limit):

@@ -1,10 +1,10 @@
 """Probabilistic primality tests and an exact trial-division oracle.
 
 Three single-round tests (Fermat, Euler, Miller-Rabin) that read one
-squaring chain, multi-round drivers over random bases, exact trial
-division for small inputs, and a one-gcd screen for prime factors up to
-SMALL_PRIME_BOUND. Composite verdicts always carry evidence and are
-never wrong; only "probable prime" can be a false positive.
+squaring chain, one driver running any set of them on one chain per base,
+exact trial division for small inputs, and a one-gcd screen for prime
+factors up to SMALL_PRIME_BOUND. Composite verdicts always carry evidence
+and are never wrong; only "probable prime" can be a false positive.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow  # noqa: F401 (bench/spans.py wraps it here)
@@ -83,11 +83,17 @@ def _chain(n: int, a: int) -> list[int]:
 _PASSED = TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=1)  # frozen: one instance serves every pass
 
 
-def _verdict(n: int, a: int, passed: bool) -> TestVerdict:
-    if passed:
-        return _PASSED
+def _witness(n: int, a: int, survived: int) -> TestVerdict:
     g = math.gcd(a, n)  # a base sharing a factor with n fails every round
-    return TestVerdict(Outcome.COMPOSITE, witness=a, factor=g if g > 1 else None)
+    return TestVerdict(Outcome.COMPOSITE, witness=a, factor=g if g > 1 else None, rounds_survived=survived)
+
+
+# Each test's pass condition, written once, on n and the chain of one base.
+ROUND_TESTS = {
+    "fermat": lambda n, chain: chain[-1] == 1,
+    "euler": lambda n, chain: chain[-2] in (1, n - 1),
+    "miller_rabin": lambda n, chain: chain[0] == 1 or n - 1 in chain[:-1],
+}
 
 
 def fermat_round(n: int, a: int) -> TestVerdict:
@@ -97,7 +103,7 @@ def fermat_round(n: int, a: int) -> TestVerdict:
     such bases can never satisfy the congruence.
     """
     _check_round_args(n, a)
-    return _verdict(n, a, _chain(n, a)[-1] == 1)
+    return _PASSED if ROUND_TESTS["fermat"](n, _chain(n, a)) else _witness(n, a, 0)
 
 
 def euler_round(n: int, a: int) -> TestVerdict:
@@ -107,7 +113,7 @@ def euler_round(n: int, a: int) -> TestVerdict:
     every Euler liar is a Fermat liar.
     """
     _check_round_args(n, a)
-    return _verdict(n, a, _chain(n, a)[-2] in (1, n - 1))
+    return _PASSED if ROUND_TESTS["euler"](n, _chain(n, a)) else _witness(n, a, 0)
 
 
 def miller_rabin_round(n: int, a: int) -> TestVerdict:
@@ -117,8 +123,7 @@ def miller_rabin_round(n: int, a: int) -> TestVerdict:
     chain entry before the last equals n - 1; odd primes always pass.
     """
     _check_round_args(n, a)
-    chain = _chain(n, a)
-    return _verdict(n, a, chain[0] == 1 or n - 1 in chain[:-1])
+    return _PASSED if ROUND_TESTS["miller_rabin"](n, _chain(n, a)) else _witness(n, a, 0)
 
 
 def mr_transcript(n: int, a: int) -> MRTranscript:
@@ -127,19 +132,28 @@ def mr_transcript(n: int, a: int) -> MRTranscript:
     return MRTranscript(decomposition=decompose_pow2(n - 1), chain=tuple(_chain(n, a)))
 
 
-def _multi_round(round_fn, n: int, rounds: int, rng: random.Random | None) -> TestVerdict:
+def _multi_round(tests, n: int, rounds: int, rng: random.Random | None) -> dict[str, TestVerdict]:
+    """Verdicts of the named ROUND_TESTS on n over up to `rounds` uniform bases
+    in [2, n-2] from `rng` (system randomness if None). One chain per base is
+    read by each test still open; a failing test's verdict has rounds_survived
+    = the bases it passed, and draws stop once every test has failed."""
     if n < 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 5, got {n}")
     if rounds < 1:
         raise ValueError("round count must be >= 1")
     if rng is None:
         rng = random.SystemRandom()
+    verdicts: dict[str, TestVerdict | None] = dict.fromkeys(tests)
     for done in range(rounds):
         a = rng.randint(2, n - 2)
-        verdict = round_fn(n, a)
-        if verdict.is_composite:
-            return replace(verdict, rounds_survived=done)
-    return TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=rounds)
+        chain = _chain(n, a)
+        for test, verdict in verdicts.items():
+            if verdict is None and not ROUND_TESTS[test](n, chain):
+                verdicts[test] = _witness(n, a, done)
+        if all(verdicts.values()):
+            break
+    survived = TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=rounds)
+    return {test: verdict or survived for test, verdict in verdicts.items()}
 
 
 def miller_rabin(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
@@ -148,17 +162,22 @@ def miller_rabin(n: int, rounds: int, rng: random.Random | None = None) -> TestV
     Stops at the first witness. A surviving composite slips through with
     probability below 4^-rounds.
     """
-    return _multi_round(miller_rabin_round, n, rounds, rng)
+    return _multi_round(("miller_rabin",), n, rounds, rng)["miller_rabin"]
 
 
 def fermat_test(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
-    """Multi-round Fermat test; unreliable against Carmichael numbers."""
-    return _multi_round(fermat_round, n, rounds, rng)
+    """Multi-round Fermat test, stopping at the first witness; unreliable against Carmichael numbers."""
+    return _multi_round(("fermat",), n, rounds, rng)["fermat"]
 
 
 def euler_test(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
-    """Multi-round Euler test."""
-    return _multi_round(euler_round, n, rounds, rng)
+    """Multi-round Euler test, stopping at the first witness."""
+    return _multi_round(("euler",), n, rounds, rng)["euler"]
+
+
+def compare_tests(n: int, rounds: int, rng: random.Random | None = None) -> dict[str, TestVerdict]:
+    """Every ROUND_TESTS verdict on n from one base sequence: one chain per base serves all."""
+    return _multi_round(ROUND_TESTS, n, rounds, rng)
 
 
 class ExactOutcome(Enum):

@@ -9,6 +9,7 @@ instead of silently taking hours.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import decompose_pow2, extended_gcd
@@ -42,15 +43,16 @@ class LiarCensus:
     strong_liars: int
 
 
-def _odd_composite_factors(n: int, what: str) -> dict[int, int]:
-    factors = _factorize(n)
+def _odd_composite_factors(n: int, what: str, factors: dict[int, int] | None = None) -> dict[int, int]:
+    factors = factors or _factorize(n)
     if n % 2 == 0 or sum(factors.values()) < 2:
         raise ValueError(f"{what} needs an odd composite, got {n}")
     return factors
 
 
-def liar_census(n: int) -> LiarCensus:
-    """Count the liars in [1, n-1] to the Fermat, Euler and strong rounds.
+def liar_census(n: int, factors: dict[int, int] | None = None) -> LiarCensus:
+    """Count the liars in [1, n-1] to the Fermat, Euler and strong rounds,
+    from `factors` ({p: j}) when the caller has already factored n.
 
     Closed forms over the distinct primes p of n: the units mod p^j are
     cyclic of order p^(j-1)(p-1), p prime to n-1, so x^m = 1 has
@@ -66,7 +68,7 @@ def liar_census(n: int) -> LiarCensus:
     """
     if n > CENSUS_CAP:
         raise RefusalError(f"census capped at {CENSUS_CAP}, got {n}")
-    primes = list(_odd_composite_factors(n, "census"))
+    primes = list(_odd_composite_factors(n, "census", factors))
     k = decompose_pow2(n - 1).s
     e = min(decompose_pow2(p - 1).s for p in primes)
     omega = len(primes)
@@ -84,7 +86,17 @@ def census_range(start: int, end: int) -> range:
     if end > CENSUS_CAP or len(odd) > CENSUS_ROW_CAP:
         raise RefusalError(f"census over [{start}, {end}] would cover {len(odd)} odd n;"
                            f" caps: n <= {CENSUS_CAP}, {CENSUS_ROW_CAP} odd n")
+    if odd and odd[0] < 0:
+        raise ValueError("n must be non-negative")
     return odd
+
+
+def composite_censuses(start: int, end: int) -> Iterator[LiarCensus]:
+    """The census of each odd composite in census_range(start, end), one factorization each."""
+    for n in census_range(start, end):
+        factors = _factorize(n)
+        if sum(factors.values()) > 1:
+            yield liar_census(n, factors)
 
 
 def fermat_pseudoprimes(a: int, limit: int) -> list[int]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primegen import pseudolab
+from primegen import primality, pseudolab
 from primegen.cli import main
 
 
@@ -756,6 +756,21 @@ def test_golden_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out == GOLDEN[command]
+
+
+def test_test_command_builds_one_chain_per_base_for_all_three_tests(capsys, monkeypatch):
+    bases = []
+    chain = primality._chain
+
+    def counted(n, a):
+        bases.append(a)
+        return chain(n, a)
+
+    monkeypatch.setattr(primality, "_chain", counted)
+    command = "test 170141183460469231731687303715884105727 --rounds 10 --seed 2"
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0 and out == GOLDEN[command]
+    assert len(bases) == 10  # one chain per base serves all three tests on a prime, not three
 
 
 def test_experiment_csv_writes_summary_to_stderr(capsys):

@@ -9,6 +9,8 @@ from primegen import primality
 from primegen.primality import (
     SMALL_PRIME_BOUND,
     ExactOutcome,
+    Outcome,
+    compare_tests,
     euler_round,
     euler_test,
     factor_table,
@@ -178,6 +180,29 @@ class TestMultiRoundDrivers:
             assert fermat_test(7, 5, make_stream(seed)).is_probable_prime
             assert euler_test(7, 5, make_stream(seed)).is_probable_prime
             assert miller_rabin(7, 5, make_stream(seed)).is_probable_prime
+
+    def test_drivers_match_a_pow_reference_exhaustive(self, liar_oracle):
+        Verdict = primality.TestVerdict  # not imported by name: pytest would collect a Test* class
+
+        # The reference runs each test on its own fresh stream of the same
+        # seed and judges every base with builtin pow, not _chain.
+        def reference(n, rounds, seed, test):
+            rng = make_stream(seed)
+            for done in range(rounds):
+                a = rng.randint(2, n - 2)
+                if not liar_oracle(n, a)[test]:
+                    g = math.gcd(a, n)
+                    return Verdict(Outcome.COMPOSITE, witness=a, factor=g if g > 1 else None, rounds_survived=done)
+            return Verdict(Outcome.PROBABLE_PRIME, rounds_survived=rounds)
+
+        drivers = {"fermat": fermat_test, "euler": euler_test, "miller_rabin": miller_rabin}
+        for n in range(5, 3001, 2):
+            for rounds in (1, 3, 10):
+                for seed in (1, 2, 7):
+                    expected = {name: reference(n, rounds, seed, test) for test, name in enumerate(drivers)}
+                    assert compare_tests(n, rounds, make_stream(seed)) == expected, (n, rounds, seed)
+                    for name, driver in drivers.items():
+                        assert driver(n, rounds, make_stream(seed)) == expected[name], (name, n, rounds, seed)
 
     def test_domain_errors(self):
         rng = random.Random(0)
