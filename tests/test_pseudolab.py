@@ -10,6 +10,7 @@ from primegen.pseudolab import (
     LiarCensus,
     carmichael_numbers,
     census_range,
+    composite_censuses,
     fermat_pseudoprimes,
     is_absolute_euler_pseudoprime,
     liar_census,
@@ -95,6 +96,13 @@ class TestLiarCensus:
             liar_census(10**6 + 9)
 
 
+def test_composite_censuses_match_trial_division_factoring(prime_flags):
+    for start, end in ((9, 9), (0, 1), (551, 1251), (999001, 10**6)):
+        expected = [liar_census(n) for n in odd_composites(end, prime_flags) if n >= start]
+        assert list(composite_censuses(start, end)) == expected
+    assert list(composite_censuses(0, -1)) == []
+
+
 class TestCensusRange:
     def test_odd_members(self):
         assert list(census_range(9, 15)) == [9, 11, 13, 15]
@@ -135,6 +143,32 @@ class TestFermatPseudoprimes:
 
     def test_tiny_limit_is_empty(self):
         assert fermat_pseudoprimes(2, 10) == []
+
+    @pytest.mark.parametrize("a", [2, 3, 5, 6, 10, 15, 210, 1001, 2**61 - 1])
+    def test_matches_a_sieve_and_pow_rescan(self, prime_flags, a):
+        # 210 and 1001 share primes with the sieve, so some orders are stored as 0
+        flags = prime_flags(10**5)
+        for limit in (8, 9, 25, 10**4 + 1, 10**5):
+            rescan = [n for n in range(9, limit + 1, 2) if not flags[n] and pow(a, n - 1, n) == 1]
+            assert fermat_pseudoprimes(a, limit) == rescan, limit
+
+    def test_square_of_a_wieferich_prime(self):
+        # 1194649 = 1093^2 is a base-2 pseudoprime whose only sieve factor is 1093
+        found = fermat_pseudoprimes(2, 1194649)
+        assert len(found) == 274 and found[-1] == 1194649
+
+    def test_order_condition_skips_most_modexps(self, monkeypatch):
+        calls = 0
+
+        def counting_pow(*args):
+            nonlocal calls
+            calls += 1
+            return pow(*args)
+
+        # a module global shadows the builtin, so every pow in pseudolab is counted
+        monkeypatch.setattr(pseudolab, "pow", counting_pow, raising=False)
+        assert len(fermat_pseudoprimes(2, 10**6)) == 245  # OEIS A001567
+        assert calls < 10**5  # one per odd composite, ~4.2 * 10^5, without the condition
 
     def test_every_scan_hit_fools_the_fermat_round(self):
         for n in fermat_pseudoprimes(3, 3000):
