@@ -1,11 +1,12 @@
 """Probable primes from filtered random candidates.
 
-Candidate pre-filtering (last digit, digital root), Fermat / Euler /
-Miller-Rabin testing, prime-density estimates, Bayesian confidence
-bounds, and a pseudoprime lab, behind one CLI.
+Candidates drawn from the mod-30 wheel (the last-digit and digital-root
+filters in one draw), Fermat / Euler / Miller-Rabin testing,
+prime-density estimates, Bayesian confidence bounds, and a pseudoprime
+lab, behind one CLI.
 """
 
-from .arith import TwoAdicDecomposition, decompose_pow2, digital_root, extended_gcd, mod_pow
+from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import (
     Mode,
@@ -82,11 +83,9 @@ __all__ = [
     "density_estimate",
     "digit_prime_count",
     "digit_prime_count_bounds",
-    "digital_root",
     "dusart_bounds",
     "euler_round",
     "euler_test",
-    "extended_gcd",
     "fermat_pseudoprimes",
     "fermat_round",
     "fermat_test",

@@ -171,8 +171,11 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     else:
         text = render_report(records, args.format, summary)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text)

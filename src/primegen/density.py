@@ -4,11 +4,12 @@ Prime-number-theorem approximations to pi(x), the d-digit prime count,
 Dusart's explicit pi(x) bounds, and the prior probability that a
 filtered candidate is prime.
 
-Two modes govern the digital-root filter's density factor. Removing the
-roots 3, 6 and 9 shrinks the pool by one third, so the exact density
-gain is 3/2 (``corrected``, the default). A widely circulated shortcut
-multiplies by 3 instead; ``published`` mode reproduces the reference
-constants that follow from that factor.
+A filter policy keeps the integers coprime to its wheel modulus W, a
+fraction phi(W)/W of them, and no prime above 5 is lost, so the exact
+density gain is W/phi(W): 1, 2.5 or 3.75 (``corrected``, the default).
+A widely circulated shortcut credits the digital-root step (W = 10 to
+30) with a gain of 3 instead of 3/2; ``published`` mode reproduces the
+reference constants that follow from that factor.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .sampling import FilterPolicy
+from .sampling import WHEEL_OFFSETS, FilterPolicy
 from .scireal import SciReal
 
 LN10 = math.log(10.0)
 
 DUSART_MIN = 60184
-
-LAST_DIGIT_FACTOR = 2.5
 
 
 class Mode(str, Enum):
@@ -81,18 +80,11 @@ def base_prime_prob(k: int) -> float:
     return (9 * k - 10) / (9 * k * (k - 1) * LN10)
 
 
-def digital_root_factor(mode: Mode) -> float:
-    return 3.0 if mode is Mode.PUBLISHED else 1.5
-
-
 def filter_factor(policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> float:
-    """Density gain from the active filters."""
-    factor = 1.0
-    if policy.last_digit_filter:
-        factor *= LAST_DIGIT_FACTOR
-    if policy.digital_root_filter:
-        factor *= digital_root_factor(mode)
-    return factor
+    """Density gain from the policy's wheel, W/phi(W); doubled at W = 30 in published mode."""
+    w = policy.wheel
+    factor = w / len(WHEEL_OFFSETS[w])
+    return 2 * factor if mode is Mode.PUBLISHED and w == 30 else factor
 
 
 def filtered_prime_prob(k: int, policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> float:

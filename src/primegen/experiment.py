@@ -15,10 +15,13 @@ from typing import Iterable, Sequence
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import Mode, filtered_prime_prob
 from .errors import RefusalError
-from .primality import TestVerdict, has_small_factor, miller_rabin
+from .primality import Outcome, TestVerdict, has_small_factor, miller_rabin
 from .sampling import Candidate, FilterPolicy, make_stream, random_candidate
 
 CSV_HEADER = ("number", "verdict", "rounds_used", "confidence_lower_bound")
+
+# Only the unfiltered policy draws even candidates; they need no base.
+EVEN = TestVerdict(Outcome.COMPOSITE, factor=2)
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     """Generate, test and score `count` filtered candidates.
 
     Candidate i draws from its own stream, make_stream(seed, i), first
-    for the digits and then for the test bases, so results do not depend
-    on execution order.
+    for the candidate and then for the test bases, so results do not
+    depend on execution order. An even candidate is composite by its
+    factor 2 and draws no base.
     """
     prior = filtered_prime_prob(config.digits, config.policy, config.mode)
     bound = bayes_confidence(prior, config.rounds).lower_bound
@@ -86,14 +90,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     for i in range(config.count):
         rng = make_stream(config.seed, i)
         candidate = random_candidate(config.digits, config.policy, rng)
-        verdict = miller_rabin(candidate.n, config.rounds, rng)
-        survived = verdict.is_probable_prime
+        verdict = miller_rabin(candidate.n, config.rounds, rng) if candidate.n % 2 else EVEN
         records.append(
             ExperimentRecord(
                 candidate=candidate,
                 verdict=verdict,
-                rounds_used=verdict.rounds_survived if survived else verdict.rounds_survived + 1,
-                confidence_lower_bound=bound if survived else None,
+                # the rounds passed, plus the round whose base was a witness
+                rounds_used=verdict.rounds_survived + (verdict.witness is not None),
+                confidence_lower_bound=bound if verdict.is_probable_prime else None,
             )
         )
     summary = ExperimentSummary(
@@ -132,8 +136,8 @@ def generate_prime(
     the target for this digit size and policy. Expected attempts are
     roughly 1 / filtered_prime_prob(digits, policy).
 
-    A candidate with a prime factor up to SMALL_PRIME_BOUND is rejected
-    by one gcd before any strong round. Attempt i draws only from
+    An even candidate, or one with a prime factor up to SMALL_PRIME_BOUND,
+    is rejected before any strong round. Attempt i draws only from
     make_stream(seed, i), so skipping its test bases leaves every other
     attempt, and so the seeded result, unchanged. The prior and round
     count stay those of the filtered pool: the screen only removes
@@ -148,7 +152,7 @@ def generate_prime(
     for attempt in range(max_attempts):
         rng = make_stream(seed, attempt) if seed is not None else make_stream(None)
         candidate = random_candidate(digits, policy, rng)
-        if has_small_factor(candidate.n):
+        if candidate.n % 2 == 0 or has_small_factor(candidate.n):
             continue
         verdict = miller_rabin(candidate.n, rounds, rng)
         if verdict.is_probable_prime:

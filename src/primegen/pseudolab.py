@@ -13,7 +13,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import decompose_pow2, extended_gcd
+from .arith import decompose_pow2
 from .errors import RefusalError
 from .primality import factor_table, trial_division
 
@@ -191,8 +191,7 @@ def _factorize(n: int, table: array | None = None) -> dict[int, int]:
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     # moduli are coprime prime powers here
-    _, s, _ = extended_gcd(m1, m2)
-    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
 
 
 def _unity_roots_prime_power(p: int, e: int) -> list[int]:

@@ -1,58 +1,59 @@
-"""Random d-digit candidates restricted to a filtered pool.
+"""Random d-digit candidates drawn from a wheel.
 
-The filters drop integers that cannot be prime: even numbers and
-multiples of 5 (last digit not 1, 3, 7, 9) and multiples of 3 (digital
-root 3, 6 or 9). A filtered pool therefore contains no multiple of 2,
-3 or 5.
+The paper's filters keep the last digits 1, 3, 7, 9 and drop the
+digital roots 3, 6, 9, that is, they drop multiples of 2 and 5 and then
+multiples of 3. What survives is exactly the integers coprime to the
+wheel modulus W = 10 (last digit only) or W = 30 (both filters); W = 1
+keeps everything. So each filter policy is one modulus, and a candidate
+is one draw from the residues coprime to it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .arith import digital_root
 from .scireal import SciReal
 
-ALLOWED_LAST_DIGITS = (1, 3, 7, 9)
-EXCLUDED_DIGITAL_ROOTS = (3, 6, 9)
+# Residues o in [0, W) with gcd(10^(d-1) + o, W) = 1: 10^(d-1) = 10 (mod 30)
+# for every d >= 2, so one table per modulus serves every digit count.
+WHEEL_OFFSETS = {w: tuple(o for o in range(w) if math.gcd(10 + o, w) == 1) for w in (1, 10, 30)}
+WHEEL_LABELS = {1: "none", 10: "last-digit", 30: "both"}
 
 MAX_SEED = 2**64 - 1
 
 
 @dataclass(frozen=True)
 class FilterPolicy:
-    """Which composite-excluding filters are active. Flags are independent."""
+    """The wheel modulus W in {1, 10, 30}: candidates are the integers coprime to W."""
 
-    last_digit_filter: bool = True
-    digital_root_filter: bool = True
+    wheel: int = 30
+
+    def __post_init__(self) -> None:
+        if self.wheel not in WHEEL_OFFSETS:
+            raise ValueError(f"wheel modulus must be one of {sorted(WHEEL_OFFSETS)}, got {self.wheel}")
 
     @classmethod
     def none(cls) -> "FilterPolicy":
-        return cls(False, False)
+        return cls(1)
 
     @classmethod
     def last_digit_only(cls) -> "FilterPolicy":
-        return cls(True, False)
+        return cls(10)
 
     @classmethod
     def both(cls) -> "FilterPolicy":
-        return cls(True, True)
+        return cls(30)
 
     @property
     def label(self) -> str:
-        if self.last_digit_filter and self.digital_root_filter:
-            return "both"
-        if self.last_digit_filter:
-            return "last-digit"
-        if self.digital_root_filter:
-            return "digital-root"
-        return "none"
+        return WHEEL_LABELS[self.wheel]
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """A d-digit integer; its filter attributes are derived from the value."""
+    """A d-digit integer."""
 
     n: int
     digits: int
@@ -61,30 +62,12 @@ class Candidate:
         if self.n < 10 ** (self.digits - 1) or self.n >= 10**self.digits:
             raise ValueError(f"{self.n} does not have exactly {self.digits} digits")
 
-    @property
-    def dr(self) -> int:
-        return digital_root(self.n)
-
-    @property
-    def last_digit(self) -> int:
-        return self.n % 10
-
-    @classmethod
-    def from_value(cls, n: int) -> "Candidate":
-        if n < 1:
-            raise ValueError("candidate must be positive")
-        return cls(n=n, digits=len(str(n)))
-
 
 def passes_filter(n: int, policy: FilterPolicy) -> bool:
-    """True iff n survives every active filter."""
+    """True iff n survives the policy's filters, i.e. n is coprime to its wheel."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if policy.last_digit_filter and n % 10 not in ALLOWED_LAST_DIGITS:
-        return False
-    if policy.digital_root_filter and digital_root(n) in EXCLUDED_DIGITAL_ROOTS:
-        return False
-    return True
+    return math.gcd(n, policy.wheel) == 1
 
 
 def make_stream(seed: int | None, index: int = 0) -> random.Random:
@@ -108,36 +91,22 @@ def make_stream(seed: int | None, index: int = 0) -> random.Random:
 def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random | None = None) -> Candidate:
     """Uniform draw from the filtered pool of exactly-d-digit integers.
 
-    Leading digit uniform in 1..9, middle digits uniform, last digit
-    uniform over the allowed set; digital-root rejection then keeps the
-    draw uniform over the surviving pool (expected 1.5 tries).
+    The d-digit range [10^(d-1), 10^d) is 9*10^(d-1)/W whole wheel
+    periods, so a uniform period and a uniform coprime offset within it
+    give a uniform pool member in one draw, with no rejection.
     """
     if digits < 2:
         raise ValueError("digit count must be >= 2; the 1-digit pool is degenerate")
     if rng is None:
         rng = random.SystemRandom()
-    last_choices = ALLOWED_LAST_DIGITS if policy.last_digit_filter else tuple(range(10))
-    middle_span = 10 ** (digits - 2)
-    high = 10 ** (digits - 1)
-    while True:
-        n = rng.randint(1, 9) * high + rng.randrange(middle_span) * 10 + rng.choice(last_choices)
-        if not policy.digital_root_filter or digital_root(n) not in EXCLUDED_DIGITAL_ROOTS:
-            return Candidate(n, digits)
+    w = policy.wheel
+    low = 10 ** (digits - 1)
+    return Candidate(low + w * rng.randrange(9 * low // w) + rng.choice(WHEEL_OFFSETS[w]), digits)
 
 
 def pool_size(digits: int, policy: FilterPolicy) -> SciReal:
-    """Exact count of d-digit integers surviving the policy.
-
-    9*10^(d-1) unfiltered; the last-digit filter keeps 4 of 10 endings
-    (36*10^(d-2)); the digital-root filter keeps exactly two-thirds of
-    either pool, giving 24*10^(d-2) when both are active.
-    """
+    """Exact count of d-digit integers surviving the policy: 9*10^(d-1)/W * phi(W)."""
     if digits < 2:
         raise ValueError("digit count must be >= 2")
-    if policy.last_digit_filter:
-        count = 36 * 10 ** (digits - 2)
-    else:
-        count = 9 * 10 ** (digits - 1)
-    if policy.digital_root_filter:
-        count = count * 2 // 3
-    return SciReal.from_int(count)
+    w = policy.wheel
+    return SciReal.from_int(9 * 10 ** (digits - 1) // w * len(WHEEL_OFFSETS[w]))

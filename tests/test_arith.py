@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from primegen.arith import TwoAdicDecomposition, decompose_pow2, digital_root, extended_gcd, mod_pow
+from primegen.arith import TwoAdicDecomposition, decompose_pow2, mod_pow
 
 
 def naive_pow_mod(base: int, exponent: int, modulus: int) -> int:
@@ -10,13 +10,6 @@ def naive_pow_mod(base: int, exponent: int, modulus: int) -> int:
     for _ in range(exponent):
         result = result * base % modulus
     return result
-
-
-def digit_sum_root(n: int) -> int:
-    """Oracle: literal iterated digit summing."""
-    while n >= 10:
-        n = sum(int(d) for d in str(n))
-    return n
 
 
 class TestModPow:
@@ -57,40 +50,6 @@ class TestModPow:
         assert combined == mod_pow(a, e1, n) * mod_pow(a, e2, n) % n
 
 
-class TestExtendedGcd:
-    def test_small_case(self):
-        g, s, t = extended_gcd(12, 8)
-        assert g == 4
-        assert s * 12 + t * 8 == 4
-
-    def test_coprime_to_carmichael_modulus(self):
-        g, s, t = extended_gcd(5, 561)
-        assert g == 1
-        assert s * 5 + t * 561 == 1
-
-    def test_identical_inputs(self):
-        g, s, t = extended_gcd(7, 7)
-        assert g == 7
-        assert s * 7 + t * 7 == 7
-
-    def test_both_zero_is_undefined(self):
-        with pytest.raises(ValueError):
-            extended_gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            extended_gcd(-4, 2)
-
-    @given(st.integers(0, 10**30), st.integers(0, 10**30))
-    def test_bezout_and_divisibility(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, s, t = extended_gcd(a, b)
-        assert g > 0
-        assert a % g == 0 and b % g == 0
-        assert s * a + t * b == g
-
-
 class TestDecomposePow2:
     def test_worked_examples(self):
         assert decompose_pow2(560) == TwoAdicDecomposition(s=4, odd_part=35)
@@ -116,33 +75,3 @@ class TestDecomposePow2:
             with pytest.raises(ValueError):
                 decompose_pow2(bad)
 
-
-class TestDigitalRoot:
-    def test_zero(self):
-        assert digital_root(0) == 0
-
-    def test_multiples_of_nine(self):
-        for k in (1, 2, 3):
-            assert digital_root(9 * k) == 9
-
-    def test_worked_examples(self):
-        assert digital_root(561) == 3
-        assert digital_root(341) == 8
-
-    def test_exhaustive_against_digit_sum(self):
-        for n in range(10**5 + 1):
-            assert digital_root(n) == digit_sum_root(n)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            digital_root(-1)
-
-    @given(st.integers(1, 10**90))
-    def test_congruent_mod_nine_with_representative_in_1_to_9(self, n):
-        dr = digital_root(n)
-        assert 1 <= dr <= 9
-        assert (n - dr) % 9 == 0
-
-    @given(st.integers(0, 10**90))
-    def test_agrees_with_digit_sum_on_big_inputs(self, n):
-        assert digital_root(n) == digit_sum_root(n)

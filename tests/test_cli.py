@@ -176,6 +176,21 @@ class TestExperimentCommand:
         assert out == ""
         assert target.read_text().startswith("number,verdict")
 
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "experiment", "--digits", "8", "--count", "4", "--seed", "6",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not target.exists()
+
+    def test_unfiltered_policy_tests_even_candidates(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--policy", "none", "--digits", "5", "--count", "5",
+                               "--seed", "1")
+        assert code == 0
+        assert any(int(line.split()[0]) % 2 == 0 for line in out.splitlines()[:5])
+
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--digits", "1", "--count", "5", "--rounds", "5", "--seed", "0")
         assert code == 2
@@ -194,6 +209,13 @@ class TestGenerateCommand:
         fields = dict(line.split(": ") for line in lines[1:])
         assert float(fields["confidence_lower_bound"]) >= 0.999
         assert int(fields["attempts"]) >= 1
+
+
+    def test_unfiltered_policy_below_the_screen_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "--policy", "none", "--digits", "4", "--seed", "2")
+        assert code == 0
+        value = int(out.splitlines()[0])
+        assert all(value % p for p in range(2, 100))  # exact for values below 100^2
 
 
 class TestLabCommand:
@@ -655,12 +677,12 @@ prior_p,prior_c,rounds,ratio,slack,lower_bound,exact_posterior,rounds_for_target
 }
 """,
     "experiment --digits 12 --count 6 --rounds 5 --seed 3": """\
-448551289379 COMPOSITE
-839629626769 PRIME
-696028567039 COMPOSITE
-283781303867 PRIME
-433094936041 COMPOSITE
-371105518811 COMPOSITE
+646057584557 COMPOSITE
+604182145093 COMPOSITE
+398497775279 COMPOSITE
+892104228563 PRIME
+517467084827 COMPOSITE
+379802250091 COMPOSITE
 
 candidates: 6
 digits: 12
@@ -668,54 +690,54 @@ rounds: 5
 seed: 3
 policy: both
 mode: corrected
-probable_primes: 2
+probable_primes: 1
 expected_primes: 0.806076879
 confidence_lower_bound: 0.993707560
 """,
     "experiment --digits 12 --count 6 --rounds 5 --seed 3 --format csv": """\
 number,verdict,rounds_used,confidence_lower_bound
-448551289379,COMPOSITE,1,
-839629626769,PRIME,5,0.993707560
-696028567039,COMPOSITE,1,
-283781303867,PRIME,5,0.993707560
-433094936041,COMPOSITE,1,
-371105518811,COMPOSITE,1,
+646057584557,COMPOSITE,1,
+604182145093,COMPOSITE,1,
+398497775279,COMPOSITE,1,
+892104228563,PRIME,5,0.993707560
+517467084827,COMPOSITE,1,
+379802250091,COMPOSITE,1,
 """,
     "experiment --digits 12 --count 6 --rounds 5 --seed 3 --format json": """\
 {
   "records": [
     {
-      "number": 448551289379,
+      "number": 646057584557,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
     },
     {
-      "number": 839629626769,
+      "number": 604182145093,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    },
+    {
+      "number": 398497775279,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    },
+    {
+      "number": 892104228563,
       "verdict": "PRIME",
       "rounds_used": 5,
       "confidence_lower_bound": 0.9937075598148466
     },
     {
-      "number": 696028567039,
+      "number": 517467084827,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
     },
     {
-      "number": 283781303867,
-      "verdict": "PRIME",
-      "rounds_used": 5,
-      "confidence_lower_bound": 0.9937075598148466
-    },
-    {
-      "number": 433094936041,
-      "verdict": "COMPOSITE",
-      "rounds_used": 1,
-      "confidence_lower_bound": null
-    },
-    {
-      "number": 371105518811,
+      "number": 379802250091,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
@@ -728,16 +750,16 @@ number,verdict,rounds_used,confidence_lower_bound
     "seed": 3,
     "policy": "both",
     "mode": "corrected",
-    "prime_count": 2,
+    "prime_count": 1,
     "expected_primes": 0.8060768792901263,
     "confidence_lower_bound": 0.9937075598148466
   }
 }
 """,
     "generate --digits 20 --seed 5": """\
-95936814003435550591
+95193917651868548053
 digits: 20
-attempts: 2
+attempts: 38
 rounds: 7
 prior: 0.080954015
 confidence_lower_bound: 0.999307087
@@ -776,4 +798,4 @@ def test_test_command_builds_one_chain_per_base_for_all_three_tests(capsys, monk
 def test_experiment_csv_writes_summary_to_stderr(capsys):
     code, _, err = run_cli(capsys, *"experiment --digits 12 --count 6 --rounds 5 --seed 3 --format csv".split())
     assert code == 0
-    assert err == "probable_primes: 2\nexpected_primes: 0.806076879\nconfidence_lower_bound: 0.993707560\n"
+    assert err == "probable_primes: 1\nexpected_primes: 0.806076879\nconfidence_lower_bound: 0.993707560\n"

@@ -73,6 +73,16 @@ class TestRunExperiment:
         sigma = math.sqrt(density * (1 - density) / total)
         assert abs(hits / total - density) <= 3 * sigma
 
+    def test_unfiltered_policy_matches_exact_oracle(self):
+        records, _ = run_experiment(small_config(count=500, policy=FilterPolicy.none()))
+        even = [r for r in records if r.candidate.n % 2 == 0]
+        assert even
+        for r in even:
+            assert (r.verdict.factor, r.verdict.witness, r.rounds_used) == (2, None, 0)
+        for r in records:
+            exact = trial_division(r.candidate.n).outcome is ExactOutcome.PRIME
+            assert r.verdict.is_probable_prime == exact
+
     def test_config_validation(self):
         for kwargs in (dict(digits=1), dict(count=0), dict(rounds=0)):
             with pytest.raises(ValueError):
@@ -129,6 +139,14 @@ class TestGeneratePrime:
         assert any(1000 <= v <= primality.SMALL_PRIME_BOUND for v in values)
         assert any(v > primality.SMALL_PRIME_BOUND for v in values)
 
+    def test_unfiltered_policy_below_the_screen_bound(self):
+        # even candidates up to SMALL_PRIME_BOUND pass the screen and must be skipped
+        for digits in (2, 3, 4):
+            for seed in range(1, 21):
+                result = generate_prime(digits, 0.999, seed=seed, policy=FilterPolicy.none())
+                assert len(str(result.value)) == digits
+                assert trial_division(result.value).outcome is ExactOutcome.PRIME
+
     def test_attempt_cap_refuses(self):
         with pytest.raises(RefusalError):
             generate_prime(6, 0.99, seed=3, max_attempts=0)
@@ -142,13 +160,13 @@ class TestGeneratePrime:
 
 def _fake_records():
     prime = ExperimentRecord(
-        candidate=Candidate.from_value(101),
+        candidate=Candidate(101, 3),
         verdict=Verdict(Outcome.PROBABLE_PRIME, rounds_survived=10),
         rounds_used=10,
         confidence_lower_bound=0.99997,
     )
     composite = ExperimentRecord(
-        candidate=Candidate.from_value(561),
+        candidate=Candidate(561, 3),
         verdict=Verdict(Outcome.COMPOSITE, witness=2, rounds_survived=0),
         rounds_used=1,
         confidence_lower_bound=None,

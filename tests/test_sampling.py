@@ -3,11 +3,8 @@ import random
 
 import pytest
 
-from primegen.arith import digital_root
 from primegen.scireal import SciReal
 from primegen.sampling import (
-    ALLOWED_LAST_DIGITS,
-    EXCLUDED_DIGITAL_ROOTS,
     Candidate,
     FilterPolicy,
     make_stream,
@@ -19,11 +16,43 @@ from primegen.sampling import (
 BOTH = FilterPolicy.both()
 NONE = FilterPolicy.none()
 LAST = FilterPolicy.last_digit_only()
-DR_ONLY = FilterPolicy(last_digit_filter=False, digital_root_filter=True)
+POLICIES = (NONE, LAST, BOTH)
 
 
 def enumerate_pool(digits: int, policy: FilterPolicy) -> list[int]:
     return [n for n in range(10 ** (digits - 1), 10**digits) if passes_filter(n, policy)]
+
+
+def digit_sum_root(n: int) -> int:
+    """Literal iterated digit summing."""
+    while n >= 10:
+        n = sum(int(d) for d in str(n))
+    return n
+
+
+def paper_filters(n: int, policy: FilterPolicy) -> bool:
+    """The filters as the paper states them: last digit in {1, 3, 7, 9}, and
+    with both filters a digital root not in {3, 6, 9}."""
+    if policy.wheel >= 10 and n % 10 not in (1, 3, 7, 9):
+        return False
+    return policy.wheel < 30 or digit_sum_root(n) not in (3, 6, 9)
+
+
+class TestFilterPolicy:
+    def test_constructors_and_labels(self):
+        assert [(p.wheel, p.label) for p in POLICIES] == [(1, "none"), (10, "last-digit"), (30, "both")]
+        assert FilterPolicy() == BOTH
+
+    def test_other_moduli_rejected(self):
+        for wheel in (0, 2, 6, 210):
+            with pytest.raises(ValueError):
+                FilterPolicy(wheel)
+
+    @pytest.mark.parametrize("digits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.label)
+    def test_wheel_members_are_the_paper_pool(self, digits, policy):
+        span = range(10 ** (digits - 1), 10**digits)
+        assert enumerate_pool(digits, policy) == [n for n in span if paper_filters(n, policy)]
 
 
 class TestPassesFilter:
@@ -48,7 +77,6 @@ class TestPoolSize:
         [
             (NONE, lambda d: 9 * 10 ** (d - 1)),
             (LAST, lambda d: 36 * 10 ** (d - 2)),
-            (DR_ONLY, lambda d: 6 * 10 ** (d - 1)),
             (BOTH, lambda d: 24 * 10 ** (d - 2)),
         ],
     )
@@ -76,20 +104,35 @@ class TestPoolSize:
 
 class TestRandomCandidate:
     def test_two_digit_draws_stay_in_pool_and_cover_it(self):
-        pool = set(enumerate_pool(2, BOTH))
-        assert len(pool) == 24
         rng = make_stream(123)
-        seen = {random_candidate(2, BOTH, rng).n for _ in range(2000)}
-        assert seen == pool
+        for policy in POLICIES:
+            pool = set(enumerate_pool(2, policy))
+            seen = {random_candidate(2, policy, rng).n for _ in range(2000)}
+            assert seen == pool
 
     def test_seventy_five_digit_postconditions(self):
         rng = make_stream(7)
         for _ in range(50):
             c = random_candidate(75, BOTH, rng)
             assert c.digits == 75 and len(str(c.n)) == 75
-            assert c.last_digit in ALLOWED_LAST_DIGITS
-            assert c.dr not in EXCLUDED_DIGITAL_ROOTS
-            assert passes_filter(c.n, BOTH)
+            assert paper_filters(c.n, BOTH)
+
+    def test_one_draw_per_candidate(self):
+        class Recording(random.Random):
+            def randrange(self, *args):
+                calls.append("randrange")
+                return super().randrange(*args)
+
+            def choice(self, seq):
+                calls.append("choice")
+                return super().choice(seq)
+
+        calls = []
+        rng = Recording(8)
+        for policy in POLICIES:
+            for digits in (2, 30):
+                random_candidate(digits, policy, rng)
+        assert calls == ["randrange", "choice"] * 6
 
     def test_unfiltered_digit_length_and_leading_digit_uniformity(self):
         rng = make_stream(99)
@@ -129,17 +172,9 @@ class TestRandomCandidate:
 
 
 class TestCandidate:
-    def test_from_value_records_attributes(self):
-        c = Candidate.from_value(341)
-        assert (c.digits, c.dr, c.last_digit) == (3, 8, 1)
-
     def test_mismatched_attributes_rejected(self):
         with pytest.raises(ValueError):
             Candidate(n=341, digits=4)
-
-    def test_digital_root_matches_kernel(self):
-        for n in (1, 9, 10, 561, 10**74 + 3):
-            assert Candidate.from_value(n).dr == digital_root(n)
 
 
 class TestMakeStream:
