@@ -11,8 +11,6 @@ from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidenc
 from .density import (
     Mode,
     base_prime_prob,
-    density_estimate,
-    DensityEstimate,
     digit_prime_count,
     digit_prime_count_bounds,
     dusart_bounds,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate",
     "ConfidenceReport",
-    "DensityEstimate",
     "ExactOutcome",
     "ExactVerdict",
     "ExperimentConfig",
@@ -80,7 +77,6 @@ __all__ = [
     "bayes_confidence",
     "carmichael_numbers",
     "decompose_pow2",
-    "density_estimate",
     "digit_prime_count",
     "digit_prime_count_bounds",
     "dusart_bounds",

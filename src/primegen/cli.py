@@ -26,7 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
-POLICIES = {p.label: p for p in (FilterPolicy.none(), FilterPolicy.last_digit_only(), FilterPolicy.both())}
+POLICIES = {p.label: p for p in FilterPolicy}
 
 
 def build_parser() -> argparse.ArgumentParser:

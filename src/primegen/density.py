@@ -15,10 +15,9 @@ reference constants that follow from that factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .sampling import WHEEL_OFFSETS, FilterPolicy
+from .sampling import FilterPolicy
 from .scireal import SciReal
 
 LN10 = math.log(10.0)
@@ -82,9 +81,8 @@ def base_prime_prob(k: int) -> float:
 
 def filter_factor(policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> float:
     """Density gain from the policy's wheel, W/phi(W); doubled at W = 30 in published mode."""
-    w = policy.wheel
-    factor = w / len(WHEEL_OFFSETS[w])
-    return 2 * factor if mode is Mode.PUBLISHED and w == 30 else factor
+    factor = policy.wheel / len(policy.offsets)
+    return 2 * factor if mode is Mode.PUBLISHED and policy is FilterPolicy.BOTH else factor
 
 
 def filtered_prime_prob(k: int, policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> float:
@@ -95,26 +93,3 @@ def filtered_prime_prob(k: int, policy: FilterPolicy, mode: Mode = Mode.CORRECTE
     approximation is meaningless; the value is returned as computed.
     """
     return base_prime_prob(k) * filter_factor(policy, mode)
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    digits: int
-    n_of_k: SciReal
-    base_prob: float
-    filtered_prob: float
-    mode: Mode
-
-    def __post_init__(self) -> None:
-        if not 0 < self.base_prob <= self.filtered_prob:
-            raise ValueError("probabilities out of order")
-
-
-def density_estimate(k: int, policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> DensityEstimate:
-    return DensityEstimate(
-        digits=k,
-        n_of_k=digit_prime_count(k),
-        base_prob=base_prime_prob(k),
-        filtered_prob=filtered_prime_prob(k, policy, mode),
-        mode=mode,
-    )

@@ -23,6 +23,9 @@ CSV_HEADER = ("number", "verdict", "rounds_used", "confidence_lower_bound")
 # Only the unfiltered policy draws even candidates; they need no base.
 EVEN = TestVerdict(Outcome.COMPOSITE, factor=2)
 
+# generate_prime refuses after this many candidates rather than run on.
+MAX_ATTEMPTS = 10**6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -30,7 +33,7 @@ class ExperimentConfig:
     count: int
     rounds: int
     seed: int
-    policy: FilterPolicy = FilterPolicy.both()
+    policy: FilterPolicy = FilterPolicy.BOTH
     mode: Mode = Mode.CORRECTED
 
     def __post_init__(self) -> None:
@@ -127,8 +130,7 @@ def generate_prime(
     target_confidence: float,
     seed: int | None = None,
     mode: Mode = Mode.CORRECTED,
-    policy: FilterPolicy = FilterPolicy.both(),
-    max_attempts: int = 10**6,
+    policy: FilterPolicy = FilterPolicy.BOTH,
 ) -> GeneratedPrime:
     """Draw filtered candidates until one survives enough strong rounds.
 
@@ -149,8 +151,8 @@ def generate_prime(
         raise ValueError("target confidence must be in (0, 1)")
     prior = filtered_prime_prob(digits, policy, mode)
     rounds = rounds_for_confidence(prior, target_confidence)
-    for attempt in range(max_attempts):
-        rng = make_stream(seed, attempt) if seed is not None else make_stream(None)
+    for attempt in range(MAX_ATTEMPTS):
+        rng = make_stream(seed, attempt)
         candidate = random_candidate(digits, policy, rng)
         if candidate.n % 2 == 0 or has_small_factor(candidate.n):
             continue
@@ -162,7 +164,7 @@ def generate_prime(
                 attempts=attempt + 1,
                 rounds=rounds,
             )
-    raise RefusalError(f"no candidate survived within {max_attempts} attempts")
+    raise RefusalError(f"no candidate survived within {MAX_ATTEMPTS} attempts")
 
 
 def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str) -> str:

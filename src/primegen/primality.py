@@ -132,17 +132,15 @@ def mr_transcript(n: int, a: int) -> MRTranscript:
     return MRTranscript(decomposition=decompose_pow2(n - 1), chain=tuple(_chain(n, a)))
 
 
-def _multi_round(tests, n: int, rounds: int, rng: random.Random | None) -> dict[str, TestVerdict]:
+def _multi_round(tests, n: int, rounds: int, rng: random.Random) -> dict[str, TestVerdict]:
     """Verdicts of the named ROUND_TESTS on n over up to `rounds` uniform bases
-    in [2, n-2] from `rng` (system randomness if None). One chain per base is
-    read by each test still open; a failing test's verdict has rounds_survived
-    = the bases it passed, and draws stop once every test has failed."""
+    in [2, n-2] from `rng`. One chain per base is read by each test still
+    open; a failing test's verdict has rounds_survived = the bases it
+    passed, and draws stop once every test has failed."""
     if n < 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 5, got {n}")
     if rounds < 1:
         raise ValueError("round count must be >= 1")
-    if rng is None:
-        rng = random.SystemRandom()
     verdicts: dict[str, TestVerdict | None] = dict.fromkeys(tests)
     for done in range(rounds):
         a = rng.randint(2, n - 2)
@@ -156,7 +154,7 @@ def _multi_round(tests, n: int, rounds: int, rng: random.Random | None) -> dict[
     return {test: verdict or survived for test, verdict in verdicts.items()}
 
 
-def miller_rabin(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
+def miller_rabin(n: int, rounds: int, rng: random.Random) -> TestVerdict:
     """Up to `rounds` strong rounds with independent uniform bases in [2, n-2].
 
     Stops at the first witness. A surviving composite slips through with
@@ -165,17 +163,17 @@ def miller_rabin(n: int, rounds: int, rng: random.Random | None = None) -> TestV
     return _multi_round(("miller_rabin",), n, rounds, rng)["miller_rabin"]
 
 
-def fermat_test(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
+def fermat_test(n: int, rounds: int, rng: random.Random) -> TestVerdict:
     """Multi-round Fermat test, stopping at the first witness; unreliable against Carmichael numbers."""
     return _multi_round(("fermat",), n, rounds, rng)["fermat"]
 
 
-def euler_test(n: int, rounds: int, rng: random.Random | None = None) -> TestVerdict:
+def euler_test(n: int, rounds: int, rng: random.Random) -> TestVerdict:
     """Multi-round Euler test, stopping at the first witness."""
     return _multi_round(("euler",), n, rounds, rng)["euler"]
 
 
-def compare_tests(n: int, rounds: int, rng: random.Random | None = None) -> dict[str, TestVerdict]:
+def compare_tests(n: int, rounds: int, rng: random.Random) -> dict[str, TestVerdict]:
     """Every ROUND_TESTS verdict on n from one base sequence: one chain per base serves all."""
     return _multi_round(ROUND_TESTS, n, rounds, rng)
 
@@ -199,16 +197,16 @@ class ExactVerdict:
 ORACLE_BOUND = 10**12
 
 
-def trial_division(n: int, bound: int = ORACLE_BOUND) -> ExactVerdict:
+def trial_division(n: int) -> ExactVerdict:
     """Exact primality by dividing by 2, 3, then 6k+-1 up to sqrt(n).
 
-    Refuses inputs above `bound` rather than running unboundedly long.
+    Refuses inputs above ORACLE_BOUND rather than running unboundedly long.
     Composite verdicts carry the smallest prime factor; 1 is a unit.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > bound:
-        raise RefusalError(f"{n} exceeds the exact-oracle bound {bound}")
+    if n > ORACLE_BOUND:
+        raise RefusalError(f"{n} exceeds the exact-oracle bound {ORACLE_BOUND}")
     if n == 1:
         return ExactVerdict(ExactOutcome.UNIT)
     if n in (2, 3):

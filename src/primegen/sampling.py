@@ -13,42 +13,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from enum import Enum
 
 from .scireal import SciReal
-
-# Residues o in [0, W) with gcd(10^(d-1) + o, W) = 1: 10^(d-1) = 10 (mod 30)
-# for every d >= 2, so one table per modulus serves every digit count.
-WHEEL_OFFSETS = {w: tuple(o for o in range(w) if math.gcd(10 + o, w) == 1) for w in (1, 10, 30)}
-WHEEL_LABELS = {1: "none", 10: "last-digit", 30: "both"}
 
 MAX_SEED = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
-    """The wheel modulus W in {1, 10, 30}: candidates are the integers coprime to W."""
+class FilterPolicy(Enum):
+    """The wheel modulus W: candidates are the integers coprime to W."""
 
-    wheel: int = 30
+    NONE = 1
+    LAST_DIGIT = 10
+    BOTH = 30
 
-    def __post_init__(self) -> None:
-        if self.wheel not in WHEEL_OFFSETS:
-            raise ValueError(f"wheel modulus must be one of {sorted(WHEEL_OFFSETS)}, got {self.wheel}")
-
-    @classmethod
-    def none(cls) -> "FilterPolicy":
-        return cls(1)
-
-    @classmethod
-    def last_digit_only(cls) -> "FilterPolicy":
-        return cls(10)
-
-    @classmethod
-    def both(cls) -> "FilterPolicy":
-        return cls(30)
-
-    @property
-    def label(self) -> str:
-        return WHEEL_LABELS[self.wheel]
+    def __init__(self, wheel: int) -> None:
+        self.wheel = wheel
+        self.label = self.name.lower().replace("_", "-")
+        # Residues o in [0, W) with gcd(10^(d-1) + o, W) = 1: 10^(d-1) = 10
+        # (mod 30) for every d >= 2, so one table serves every digit count.
+        self.offsets = tuple(o for o in range(wheel) if math.gcd(10 + o, wheel) == 1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +57,9 @@ def passes_filter(n: int, policy: FilterPolicy) -> bool:
 def make_stream(seed: int | None, index: int = 0) -> random.Random:
     """Deterministic per-candidate RNG stream, or system randomness if unseeded.
 
+    The one place an unseeded run gets its randomness: every sampler and
+    test takes the stream as a required argument.
+
     Stream `index` of `seed` is random.Random((index << 64) | seed). The
     seed fits in 64 bits, so distinct (seed, index) pairs never share a
     stream: candidates can be produced independently (and in parallel),
@@ -88,7 +75,7 @@ def make_stream(seed: int | None, index: int = 0) -> random.Random:
     return random.Random((index << 64) | seed)
 
 
-def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random | None = None) -> Candidate:
+def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random) -> Candidate:
     """Uniform draw from the filtered pool of exactly-d-digit integers.
 
     The d-digit range [10^(d-1), 10^d) is 9*10^(d-1)/W whole wheel
@@ -97,16 +84,13 @@ def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random | Non
     """
     if digits < 2:
         raise ValueError("digit count must be >= 2; the 1-digit pool is degenerate")
-    if rng is None:
-        rng = random.SystemRandom()
     w = policy.wheel
     low = 10 ** (digits - 1)
-    return Candidate(low + w * rng.randrange(9 * low // w) + rng.choice(WHEEL_OFFSETS[w]), digits)
+    return Candidate(low + w * rng.randrange(9 * low // w) + rng.choice(policy.offsets), digits)
 
 
 def pool_size(digits: int, policy: FilterPolicy) -> SciReal:
     """Exact count of d-digit integers surviving the policy: 9*10^(d-1)/W * phi(W)."""
     if digits < 2:
         raise ValueError("digit count must be >= 2")
-    w = policy.wheel
-    return SciReal.from_int(9 * 10 ** (digits - 1) // w * len(WHEEL_OFFSETS[w]))
+    return SciReal.from_int(9 * 10 ** (digits - 1) // policy.wheel * len(policy.offsets))

@@ -240,8 +240,8 @@ class TestC6DensityRealism:
         start = time.perf_counter()
         exact_density = (pi_exact(10**6) - pi_exact(10**5)) / 240000
         ok_exact = math.isclose(exact_density, 68906 / 240000, rel_tol=0, abs_tol=0)
-        corrected = filtered_prime_prob(6, FilterPolicy.both(), Mode.CORRECTED)
-        published = filtered_prime_prob(6, FilterPolicy.both(), Mode.PUBLISHED)
+        corrected = filtered_prime_prob(6, FilterPolicy.BOTH, Mode.CORRECTED)
+        published = filtered_prime_prob(6, FilterPolicy.BOTH, Mode.PUBLISHED)
         corrected_err = abs(corrected - exact_density) / exact_density
         published_err = abs(published - exact_density) / exact_density
         ok_model = corrected_err < 0.15 and corrected_err < published_err
@@ -257,7 +257,7 @@ class TestC6DensityRealism:
 
     def test_c6_statistical_75_digit_fraction(self):
         start = time.perf_counter()
-        policy = FilterPolicy.both()
+        policy = FilterPolicy.BOTH
         hits = 0
         draws = 2000
         for i in range(draws):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from primegen import primality, pseudolab
-from primegen.cli import main
+from primegen import experiment, primality, pseudolab
+from primegen.cli import build_parser, main
+from primegen.sampling import FilterPolicy
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,11 @@ class TestTestCommand:
         assert "trial_division: PRIME" in out
         assert out.count("PROBABLE_PRIME") == 3
         assert "false positive" not in out
+
+    def test_unseeded_prime_input(self, capsys):
+        code, out, _ = run_cli(capsys, "test", "97", "--rounds", "5")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{t}[m=5]: PROBABLE_PRIME" for t in ("fermat", "euler", "miller_rabin")]
 
     def test_even_input_skips_probabilistic_tests(self, capsys):
         code, out, err = run_cli(capsys, "test", "100", "--seed", "0")
@@ -283,6 +289,27 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_policy_choices_are_the_filter_policies(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        for name in ("generate", "experiment", "density", "confidence"):
+            policy = next(a for a in commands[name]._actions if a.dest == "policy")
+            assert policy.choices == sorted(p.label for p in FilterPolicy)
+
+
+# Published mode doubles the both-filters factor, so its 2- and 3-digit
+# priors are 1.45 and 1.03: no Bayes bound exists, and the command must
+# say so before it draws a candidate.
+@pytest.mark.parametrize("digits", ["2", "3"])
+@pytest.mark.parametrize("command", ["generate", "experiment", "confidence"])
+def test_published_prior_above_one_is_usage_error(capsys, monkeypatch, command, digits):
+    def draw(*args):
+        raise AssertionError("candidate drawn before the prior was checked")
+
+    monkeypatch.setattr(experiment, "random_candidate", draw)
+    code, out, err = run_cli(capsys, command, "--digits", digits, "--mode", "published")
+    assert code == 2
+    assert out == "" and "prior must be in (0, 1)" in err
 
 
 # CLI stdout bytes are part of the behaviour contract. These commands run all

@@ -6,7 +6,6 @@ from primegen.density import (
     LN10,
     Mode,
     base_prime_prob,
-    density_estimate,
     digit_prime_count,
     digit_prime_count_bounds,
     dusart_bounds,
@@ -17,9 +16,9 @@ from primegen.density import (
 from primegen.sampling import FilterPolicy
 from primegen.scireal import SciReal
 
-BOTH = FilterPolicy.both()
-NONE = FilterPolicy.none()
-LAST = FilterPolicy.last_digit_only()
+BOTH = FilterPolicy.BOTH
+NONE = FilterPolicy.NONE
+LAST = FilterPolicy.LAST_DIGIT
 
 
 def digit_prime_count_exact(k: int, pi_exact) -> int:
@@ -142,7 +141,10 @@ class TestFilteredPrimeProb:
         assert abs(filtered_prime_prob(75, BOTH, Mode.PUBLISHED) - 0.043364243) <= 5e-8
 
     def test_both_corrected_reference(self):
-        assert abs(filtered_prime_prob(75, BOTH, Mode.CORRECTED) - 0.021682122) <= 1e-8
+        base, filtered = base_prime_prob(75), filtered_prime_prob(75, BOTH, Mode.CORRECTED)
+        assert abs(filtered - 0.021682122) <= 1e-8
+        assert filtered == pytest.approx(base * 3.75)
+        assert 0 < base <= filtered < 1
 
     def test_factors(self):
         assert filter_factor(NONE) == 1.0
@@ -166,12 +168,3 @@ class TestFilteredPrimeProb:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             filtered_prime_prob(1, BOTH)
-
-
-class TestDensityEstimate:
-    def test_fields_consistent(self):
-        est = density_estimate(75, BOTH, Mode.CORRECTED)
-        assert est.digits == 75
-        assert est.filtered_prob == pytest.approx(est.base_prob * 3.75)
-        assert est.mode is Mode.CORRECTED
-        assert 0 < est.base_prob <= est.filtered_prob < 1

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from primegen import primality
+from primegen import experiment, primality
 from primegen.confidence import bayes_confidence
 from primegen.density import Mode, filtered_prime_prob
 from primegen.errors import RefusalError
@@ -16,9 +16,9 @@ from primegen.experiment import (
 )
 from primegen.primality import ExactOutcome, Outcome, miller_rabin, trial_division
 from primegen.primality import TestVerdict as Verdict
-from primegen.sampling import Candidate, FilterPolicy, passes_filter
+from primegen.sampling import Candidate, FilterPolicy, make_stream, passes_filter
 
-BOTH = FilterPolicy.both()
+BOTH = FilterPolicy.BOTH
 
 
 def small_config(**overrides):
@@ -74,7 +74,7 @@ class TestRunExperiment:
         assert abs(hits / total - density) <= 3 * sigma
 
     def test_unfiltered_policy_matches_exact_oracle(self):
-        records, _ = run_experiment(small_config(count=500, policy=FilterPolicy.none()))
+        records, _ = run_experiment(small_config(count=500, policy=FilterPolicy.NONE))
         even = [r for r in records if r.candidate.n % 2 == 0]
         assert even
         for r in even:
@@ -87,6 +87,9 @@ class TestRunExperiment:
         for kwargs in (dict(digits=1), dict(count=0), dict(rounds=0)):
             with pytest.raises(ValueError):
                 small_config(**kwargs)
+
+    def test_config_defaults_to_both_filters(self):
+        assert ExperimentConfig(5, 1, 1, 0).policy is FilterPolicy.BOTH
 
 
 class TestGeneratePrime:
@@ -102,11 +105,16 @@ class TestGeneratePrime:
         assert result.value % 10 in (1, 3, 7, 9)
         assert passes_filter(result.value, BOTH)
         assert result.confidence.lower_bound >= 0.999
-        assert miller_rabin(result.value, 15, None).is_probable_prime
+        assert miller_rabin(result.value, 15, make_stream(None)).is_probable_prime
 
     def test_published_prior_pairs_ten_rounds_with_target(self):
         result = generate_prime(75, 0.999978, seed=1, mode=Mode.PUBLISHED)
         assert result.rounds == 10
+
+    def test_unseeded_generation(self):
+        result = generate_prime(12, 0.999999)
+        assert len(str(result.value)) == 12
+        assert trial_division(result.value).outcome is ExactOutcome.PRIME
 
     def test_deterministic_for_fixed_seed(self):
         a = generate_prime(20, 0.999, seed=77)
@@ -143,13 +151,14 @@ class TestGeneratePrime:
         # even candidates up to SMALL_PRIME_BOUND pass the screen and must be skipped
         for digits in (2, 3, 4):
             for seed in range(1, 21):
-                result = generate_prime(digits, 0.999, seed=seed, policy=FilterPolicy.none())
+                result = generate_prime(digits, 0.999, seed=seed, policy=FilterPolicy.NONE)
                 assert len(str(result.value)) == digits
                 assert trial_division(result.value).outcome is ExactOutcome.PRIME
 
-    def test_attempt_cap_refuses(self):
+    def test_attempt_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(experiment, "MAX_ATTEMPTS", 0)
         with pytest.raises(RefusalError):
-            generate_prime(6, 0.99, seed=3, max_attempts=0)
+            generate_prime(6, 0.99, seed=3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

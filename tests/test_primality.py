@@ -234,10 +234,11 @@ class TestTrialDivision:
                 assert trial_division(f).outcome is ExactOutcome.PRIME
                 assert all(n % d for d in range(2, f))
 
-    def test_refusal_above_bound(self):
+    def test_refusal_above_bound(self, monkeypatch):
         with pytest.raises(RefusalError):
             trial_division(10**12 + 1)
-        assert trial_division(10**12 + 1, bound=10**13).outcome is ExactOutcome.COMPOSITE
+        monkeypatch.setattr(primality, "ORACLE_BOUND", 10**13)
+        assert trial_division(10**12 + 1).outcome is ExactOutcome.COMPOSITE
 
     def test_agreement_with_strong_test_on_random_odds(self):
         rng = random.Random(2718)

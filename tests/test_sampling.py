@@ -13,9 +13,9 @@ from primegen.sampling import (
     random_candidate,
 )
 
-BOTH = FilterPolicy.both()
-NONE = FilterPolicy.none()
-LAST = FilterPolicy.last_digit_only()
+BOTH = FilterPolicy.BOTH
+NONE = FilterPolicy.NONE
+LAST = FilterPolicy.LAST_DIGIT
 POLICIES = (NONE, LAST, BOTH)
 
 
@@ -41,7 +41,7 @@ def paper_filters(n: int, policy: FilterPolicy) -> bool:
 class TestFilterPolicy:
     def test_constructors_and_labels(self):
         assert [(p.wheel, p.label) for p in POLICIES] == [(1, "none"), (10, "last-digit"), (30, "both")]
-        assert FilterPolicy() == BOTH
+        assert FilterPolicy(30) is BOTH
 
     def test_other_moduli_rejected(self):
         for wheel in (0, 2, 6, 210):
@@ -75,9 +75,9 @@ class TestPoolSize:
     @pytest.mark.parametrize(
         "policy,expected_fn",
         [
-            (NONE, lambda d: 9 * 10 ** (d - 1)),
-            (LAST, lambda d: 36 * 10 ** (d - 2)),
-            # pinned to the id this row has always run under
+            # pinned to the ids these rows have always run under
+            pytest.param(NONE, lambda d: 9 * 10 ** (d - 1), id="policy0-<lambda>"),
+            pytest.param(LAST, lambda d: 36 * 10 ** (d - 2), id="policy1-<lambda>"),
             pytest.param(BOTH, lambda d: 24 * 10 ** (d - 2), id="policy3-<lambda>"),
         ],
     )
