@@ -2,7 +2,8 @@
 
 Subcommands: generate, test, experiment, density, confidence, lab.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 usage error, 3 refusal (a resource bound was exceeded).
+1 stdout closed before the report was written, 2 usage error,
+3 refusal (a resource bound was exceeded).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import operator
+import os
 import sys
 
 from . import pseudolab
@@ -23,8 +25,14 @@ from .primality import euler_test, fermat_test, miller_rabin  # noqa: F401 (benc
 from .sampling import FilterPolicy, make_stream, pool_size
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+
+# Largest digit count a density table may reach. The full 2-4300 table takes
+# ~0.1 s (Python 3.11); past 10^6 digits the counts would overflow the
+# default decimal context (Emax 999999).
+DENSITY_DIGIT_CAP = 4300
 
 POLICIES = {p.label: p for p in FilterPolicy}
 
@@ -107,6 +115,13 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader stopped early, e.g. `| head`: send the rest to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -195,8 +210,11 @@ def _parse_digit_range(text: str) -> range:
 def _cmd_density(args: argparse.Namespace) -> None:
     policy = POLICIES[args.policy]
     mode = Mode(args.mode)
+    digits = _parse_digit_range(args.digits)
+    if digits[-1] > DENSITY_DIGIT_CAP:
+        raise RefusalError(f"density table capped at {DENSITY_DIGIT_CAP} digits, got {digits[-1]}")
     rows = []
-    for k in _parse_digit_range(args.digits):
+    for k in digits:
         exp = k - 1
         count = digit_prime_count(k)
         bounds = digit_prime_count_bounds(k) if k >= 6 else None
@@ -213,11 +231,15 @@ def _cmd_density(args: argparse.Namespace) -> None:
         print(json.dumps({"policy": args.policy, "mode": args.mode, "rows": rows}, indent=2))
     else:
         print(render_rows(list(rows[0]), [row.values() for row in rows], args.format))
+    above_one = [str(row["digits"]) for row in rows if float(row["filtered_prob"]) >= 1]
+    if above_one:
+        print(f"note: filtered_prob >= 1 at {', '.join(above_one)} digits;"
+              f" the {mode.value} prior is not a probability there", file=sys.stderr)
 
 
 def str_at(value, exp10: int) -> str:
-    """Render a SciReal at a fixed decade, e.g. 0.052037087e+74."""
-    return f"{value.mantissa_at(exp10):.9f}e{exp10:+d}"
+    """Render a Decimal count at a fixed decade, e.g. 0.052037087e+74."""
+    return f"{float(value.scaleb(-exp10)):.9f}e{exp10:+d}"
 
 
 def _cmd_confidence(args: argparse.Namespace) -> None:

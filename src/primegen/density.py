@@ -15,10 +15,10 @@ reference constants that follow from that factor.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from enum import Enum
 
 from .sampling import FilterPolicy
-from .scireal import SciReal
 
 LN10 = math.log(10.0)
 
@@ -30,35 +30,34 @@ class Mode(str, Enum):
     CORRECTED = "corrected"
 
 
-def pnt_estimate(x: "int | float | SciReal") -> SciReal:
+def pnt_estimate(x: "int | float | Decimal") -> Decimal:
     """x / ln x, the prime-number-theorem approximation to pi(x)."""
-    value = SciReal.from_number(x)
-    if value < 2:
-        raise ValueError("x must be >= 2")
-    return value / SciReal.from_number(value.ln())
+    value = Decimal(x)
+    if not (value.is_finite() and value >= 2):
+        raise ValueError("x must be a finite number >= 2")
+    return value / value.ln()
 
 
-def digit_prime_count(k: int) -> SciReal:
-    """Approximate count of k-digit primes: 10^(k-1) (9k-10) / (ln 10 k(k-1)).
+def digit_prime_count(k: int) -> Decimal:
+    """Approximate count of k-digit primes: pnt_estimate(10^k) - pnt_estimate(10^(k-1)).
 
-    Algebraically equal to pnt_estimate(10^k) - pnt_estimate(10^(k-1)).
+    Algebraically equal to 10^(k-1) (9k-10) / (ln 10 k(k-1)).
     """
     if k < 2:
         raise ValueError("digit count must be >= 2")
-    mantissa = (9 * k - 10) / (LN10 * k * (k - 1))
-    return SciReal(mantissa, k - 1)
+    return pnt_estimate(Decimal(10) ** k) - pnt_estimate(Decimal(10) ** (k - 1))
 
 
-def dusart_bounds(x: "int | float | SciReal") -> tuple[SciReal, SciReal]:
+def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
     """Explicit bracket x/(ln x - 1) < pi(x) < x/(ln x - 1.1), valid for x >= 60184."""
-    value = SciReal.from_number(x)
-    if value < DUSART_MIN:
-        raise ValueError(f"bounds require x >= {DUSART_MIN}")
+    value = Decimal(x)
+    if not (value.is_finite() and value >= DUSART_MIN):
+        raise ValueError(f"bounds require a finite x >= {DUSART_MIN}")
     ln_x = value.ln()
-    return value / (ln_x - 1.0), value / (ln_x - 1.1)
+    return value / (ln_x - 1), value / (ln_x - Decimal("1.1"))
 
 
-def digit_prime_count_bounds(k: int) -> tuple[SciReal, SciReal]:
+def digit_prime_count_bounds(k: int) -> tuple[Decimal, Decimal]:
     """Rigorous bracket on the k-digit prime count from the pi(x) bounds.
 
     Cross differences: lower(10^k) - upper(10^(k-1)) below, and
@@ -67,8 +66,8 @@ def digit_prime_count_bounds(k: int) -> tuple[SciReal, SciReal]:
     """
     if k < 6:
         raise ValueError("digit count must be >= 6 for a valid bracket")
-    top_low, top_up = dusart_bounds(SciReal(0.1, k + 1))
-    bot_low, bot_up = dusart_bounds(SciReal(0.1, k))
+    top_low, top_up = dusart_bounds(Decimal(10) ** k)
+    bot_low, bot_up = dusart_bounds(Decimal(10) ** (k - 1))
     return top_low - bot_up, top_up - bot_low
 
 

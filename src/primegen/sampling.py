@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
-
-from .scireal import SciReal
 
 MAX_SEED = 2**64 - 1
 
@@ -89,8 +88,8 @@ def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random) -> C
     return Candidate(low + w * rng.randrange(9 * low // w) + rng.choice(policy.offsets), digits)
 
 
-def pool_size(digits: int, policy: FilterPolicy) -> SciReal:
+def pool_size(digits: int, policy: FilterPolicy) -> Decimal:
     """Exact count of d-digit integers surviving the policy: 9*10^(d-1)/W * phi(W)."""
     if digits < 2:
         raise ValueError("digit count must be >= 2")
-    return SciReal.from_int(9 * 10 ** (digits - 1) // policy.wheel * len(policy.offsets))
+    return Decimal(9 * len(policy.offsets)).scaleb(digits - 1) / policy.wheel

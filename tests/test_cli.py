@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from primegen import experiment, primality, pseudolab
+from primegen import cli, experiment, primality, pseudolab
 from primegen.cli import build_parser, main
 from primegen.sampling import FilterPolicy
 
@@ -47,6 +51,32 @@ class TestDensityCommand:
         code, _, err = run_cli(capsys, "density", "--digits", "9-2")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("digits", ["4301", "2-4301", "1000000"])
+    def test_oversized_table_refused_before_any_row(self, capsys, monkeypatch, digits):
+        def count(k):
+            raise AssertionError(f"row {k} computed before the refusal")
+
+        monkeypatch.setattr(cli, "digit_prime_count", count)
+        code, out, err = run_cli(capsys, "density", "--digits", digits)
+        assert code == 3
+        assert out == "" and "refused" in err
+
+    def test_published_density_above_one_noted_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, *"density --digits 2-4 --mode published --format csv".split())
+        assert code == 0
+        assert out == (
+            "digits,pool_size,prime_count_estimate,dusart_lower,dusart_upper,base_prob,filtered_prob\n"
+            "2,2.400000000e+1,1.737177928e+1,,,0.193019770,1.447648273\n"
+            "3,2.400000000e+2,1.230501032e+2,,,0.136722337,1.025417527\n"
+            "4,2.400000000e+3,0.940971377e+3,,,0.104552375,0.784142815\n"
+        )
+        assert err.startswith("note: filtered_prob >= 1 at 2, 3 digits;") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", ["2-4 --mode corrected", "4-6 --mode published"])
+    def test_no_note_when_every_prob_is_below_one(self, capsys, argv):
+        code, _, err = run_cli(capsys, "density", "--digits", *argv.split())
+        assert code == 0 and err == ""
 
 
 class TestConfidenceCommand:
@@ -797,6 +827,45 @@ n,total_bases,fermat_liars,euler_liars,strong_liars
     "lab census --start 11 --end 13 --format json": """\
 []
 """,
+    "density --digits 4300": (
+        "digits  pool_size          prime_count_estimate  dusart_lower       dusart_upper       base_prob    filtered_prob\n"
+        "4300    2.400000000e+4299  0.000908965e+4299     0.000909056e+4299  0.000909067e+4299  0.000100996  0.000378735  \n"
+    ),
+    "density --digits 1500-1502 --format json": """\
+{
+  "policy": "both",
+  "mode": "corrected",
+  "rows": [
+    {
+      "digits": 1500,
+      "pool_size": "2.400000000e+1499",
+      "prime_count_estimate": "0.002605574e+1499",
+      "dusart_lower": "0.002606320e+1499",
+      "dusart_upper": "0.002606412e+1499",
+      "base_prob": "0.000289508",
+      "filtered_prob": "0.001085656"
+    },
+    {
+      "digits": 1501,
+      "pool_size": "2.400000000e+1500",
+      "prime_count_estimate": "0.002603838e+1500",
+      "dusart_lower": "0.002604583e+1500",
+      "dusart_upper": "0.002604675e+1500",
+      "base_prob": "0.000289315",
+      "filtered_prob": "0.001084932"
+    },
+    {
+      "digits": 1502,
+      "pool_size": "2.400000000e+1501",
+      "prime_count_estimate": "0.002602105e+1501",
+      "dusart_lower": "0.002602849e+1501",
+      "dusart_upper": "0.002602941e+1501",
+      "base_prob": "0.000289123",
+      "filtered_prob": "0.001084210"
+    }
+  ]
+}
+""",
 }
 
 
@@ -820,6 +889,16 @@ def test_test_command_builds_one_chain_per_base_for_all_three_tests(capsys, monk
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0 and out == GOLDEN[command]
     assert len(bases) == 10  # one chain per base serves all three tests on a prime, not three
+
+
+def test_closed_stdout_exits_quietly():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-m", "primegen.cli", "lab", "census", "--start", "9", "--end", "200000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"n,total_bases,fermat_liars,euler_liars,strong_liars\n"
+        proc.stdout.close()  # the census rows are ~1.7 MB, far more than a pipe buffers
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_experiment_csv_writes_summary_to_stderr(capsys):

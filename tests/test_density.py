@@ -14,7 +14,6 @@ from primegen.density import (
     pnt_estimate,
 )
 from primegen.sampling import FilterPolicy
-from primegen.scireal import SciReal
 
 BOTH = FilterPolicy.BOTH
 NONE = FilterPolicy.NONE
@@ -27,7 +26,7 @@ def digit_prime_count_exact(k: int, pi_exact) -> int:
 
 class TestPntEstimate:
     def test_one_million(self, pi_exact):
-        est = pnt_estimate(10**6).to_float()
+        est = float(pnt_estimate(10**6))
         assert math.isclose(est, 1e6 / (6 * LN10), rel_tol=1e-12)
         assert math.isclose(est, 72382.41365, rel_tol=1e-9)
         ratio = est / pi_exact(10**6)
@@ -35,11 +34,11 @@ class TestPntEstimate:
 
     def test_fixed_point_when_log_is_one(self):
         x = math.e
-        assert math.isclose(pnt_estimate(x).to_float(), x, rel_tol=1e-12)
+        assert math.isclose(float(pnt_estimate(x)), x, rel_tol=1e-12)
 
     def test_huge_argument_is_log_safe(self):
         est = pnt_estimate(10**75)
-        assert math.isclose(est.to_float(), 1e75 / (75 * LN10), rel_tol=1e-12)
+        assert math.isclose(float(est), 1e75 / (75 * LN10), rel_tol=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -48,25 +47,24 @@ class TestPntEstimate:
 
 class TestDigitPrimeCount:
     def test_reference_75(self):
-        mantissa = digit_prime_count(75).mantissa_at(74)
+        mantissa = float(digit_prime_count(75).scaleb(-74))
         assert math.isclose(mantissa, 0.052037087, rel_tol=1e-7)
 
     def test_six_digits_against_sieve(self, pi_exact):
         true_count = digit_prime_count_exact(6, pi_exact)
         assert true_count == 68906
-        approx = digit_prime_count(6).to_float()
+        approx = float(digit_prime_count(6))
         assert abs(approx - true_count) / true_count < 0.12
 
     def test_two_digits(self, pi_exact):
-        assert math.isclose(digit_prime_count(2).to_float(), (10 / LN10) * 4, rel_tol=1e-12)
+        assert math.isclose(float(digit_prime_count(2)), (10 / LN10) * 4, rel_tol=1e-12)
         assert digit_prime_count_exact(2, pi_exact) == 21
 
     def test_identity_with_pnt_difference(self):
         for k in range(2, 101):
-            direct = digit_prime_count(k)
-            diff = pnt_estimate(SciReal(0.1, k + 1)) - pnt_estimate(SciReal(0.1, k))
-            rel = ((direct - diff) / direct).to_float()
-            assert abs(rel) < 1e-12
+            closed_form = (9 * k - 10) / (LN10 * k * (k - 1))
+            mantissa = float(digit_prime_count(k).scaleb(1 - k))
+            assert math.isclose(mantissa, closed_form, rel_tol=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -76,15 +74,15 @@ class TestDigitPrimeCount:
 class TestDusartBounds:
     def test_values_at_1e5(self, pi_exact):
         lower, upper = dusart_bounds(10**5)
-        assert math.isclose(lower.to_float(), 1e5 / (5 * LN10 - 1.0), rel_tol=1e-12)
-        assert math.isclose(upper.to_float(), 1e5 / (5 * LN10 - 1.1), rel_tol=1e-12)
-        assert lower.to_float() < pi_exact(10**5) < upper.to_float()
+        assert math.isclose(float(lower), 1e5 / (5 * LN10 - 1.0), rel_tol=1e-12)
+        assert math.isclose(float(upper), 1e5 / (5 * LN10 - 1.1), rel_tol=1e-12)
+        assert float(lower) < pi_exact(10**5) < float(upper)
 
     @pytest.mark.parametrize("exponent", [5, 6, 7])
     def test_brackets_true_pi(self, exponent, pi_exact):
         lower, upper = dusart_bounds(10**exponent)
         true_pi = pi_exact(10**exponent)
-        assert lower.to_float() < true_pi < upper.to_float()
+        assert float(lower) < true_pi < float(upper)
 
     def test_ordering_at_validity_edge(self):
         lower, upper = dusart_bounds(60184)
@@ -98,15 +96,15 @@ class TestDusartBounds:
 class TestDigitPrimeCountBounds:
     def test_reference_interval_75(self):
         lower, upper = digit_prime_count_bounds(75)
-        assert math.isclose(lower.mantissa_at(74), 0.05233970251, rel_tol=1e-4)
-        assert math.isclose(upper.mantissa_at(74), 0.05237015782, rel_tol=1e-4)
+        assert math.isclose(float(lower.scaleb(-74)), 0.05233970251, rel_tol=1e-4)
+        assert math.isclose(float(upper.scaleb(-74)), 0.05237015782, rel_tol=1e-4)
         assert lower < upper
 
     def test_brackets_true_digit_count(self, pi_exact):
         for k in (6, 7):
             lower, upper = digit_prime_count_bounds(k)
             true_count = digit_prime_count_exact(k, pi_exact)
-            assert lower.to_float() < true_count < upper.to_float()
+            assert float(lower) < true_count < float(upper)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -168,3 +166,10 @@ class TestFilteredPrimeProb:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             filtered_prime_prob(1, BOTH)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("estimate", [pnt_estimate, dusart_bounds])
+def test_non_finite_argument_is_domain_error(estimate, x):
+    with pytest.raises(ValueError):
+        estimate(x)
