@@ -31,7 +31,6 @@ from .primality import (
     ExactOutcome,
     ExactVerdict,
     MRTranscript,
-    Outcome,
     TestVerdict,
     euler_round,
     euler_test,
@@ -68,7 +67,6 @@ __all__ = [
     "LiarCensus",
     "MRTranscript",
     "Mode",
-    "Outcome",
     "RefusalError",
     "SciReal",
     "TestVerdict",

@@ -46,11 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--target-confidence", type=float, default=0.999)
     gen.add_argument("--seed", type=int, default=None)
     _policy_mode_args(gen)
+    gen.set_defaults(run=_cmd_generate)
 
     test = sub.add_parser("test", help="run all three tests (and the exact oracle when in range) on one number")
     test.add_argument("n", type=int)
     test.add_argument("--rounds", type=int, default=10)
     test.add_argument("--seed", type=int, default=None)
+    test.set_defaults(run=_cmd_test)
 
     exp = sub.add_parser("experiment", help="test a batch of random filtered candidates")
     exp.add_argument("--digits", type=int, default=75)
@@ -60,11 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     exp.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     _policy_mode_args(exp)
+    exp.set_defaults(run=_cmd_experiment)
 
     dens = sub.add_parser("density", help="prime-density table for a digit range")
     dens.add_argument("--digits", default="75", help="digit count K or range A-B")
     dens.add_argument("--format", choices=("table", "csv", "json"), default="table")
     _policy_mode_args(dens)
+    dens.set_defaults(run=_cmd_density)
 
     conf = sub.add_parser("confidence", help="posterior confidence calculator")
     conf.add_argument("--rounds", type=int, default=10)
@@ -73,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     conf.add_argument("--target-confidence", type=float, default=None, help="also report the rounds needed for this bound")
     conf.add_argument("--format", choices=("table", "csv", "json"), default="table")
     _policy_mode_args(conf)
+    conf.set_defaults(run=_cmd_confidence)
 
     lab = sub.add_parser("lab", help="pseudoprime enumeration sweeps")
     labsub = lab.add_subparsers(dest="lab_command", required=True)
@@ -81,19 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--start", type=int, default=9)
     census.add_argument("--end", type=int, required=True)
     census.add_argument("--format", choices=("csv", "json"), default="csv")
+    census.set_defaults(run=_cmd_census)
 
     carm = labsub.add_parser("carmichael", help="Carmichael numbers up to a limit")
     carm.add_argument("--limit", type=int, required=True)
+    carm.set_defaults(run=lambda args: _print_lines(pseudolab.carmichael_numbers(args.limit)))
 
     pseudo = labsub.add_parser("pseudoprimes", help="Fermat pseudoprimes to a base up to a limit")
     pseudo.add_argument("--base", type=int, default=2)
     pseudo.add_argument("--limit", type=int, required=True)
+    pseudo.set_defaults(run=lambda args: _print_lines(pseudolab.fermat_pseudoprimes(args.base, args.limit)))
 
     sqrt1 = labsub.add_parser("sqrt-of-unity", help="square roots of 1 modulo n")
     sqrt1.add_argument("n", type=int)
+    sqrt1.set_defaults(run=lambda args: print(*pseudolab.sqrt_of_unity(args.n)))
 
     abseuler = labsub.add_parser("absolute-euler", help="absolute Euler pseudoprime check")
     abseuler.add_argument("n", type=int)
+    abseuler.set_defaults(
+        run=lambda args: print("true" if pseudolab.is_absolute_euler_pseudoprime(args.n) else "false"))
 
     return parser
 
@@ -105,16 +116,8 @@ def _policy_mode_args(cmd: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "generate": _cmd_generate,
-        "test": _cmd_test,
-        "experiment": _cmd_experiment,
-        "density": _cmd_density,
-        "confidence": _cmd_confidence,
-        "lab": _cmd_lab,
-    }[args.command]
     try:
-        handler(args)
+        args.run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
     except BrokenPipeError:
         # the reader stopped early, e.g. `| head`: send the rest to devnull
@@ -161,7 +164,7 @@ def _cmd_test(args: argparse.Namespace) -> None:
         print("probabilistic tests need odd n >= 5; skipped", file=sys.stderr)
         return
     for label, verdict in compare_tests(n, args.rounds, make_stream(args.seed)).items():
-        line = f"{label}[m={args.rounds}]: {verdict.outcome.value.upper().replace(' ', '_')}"
+        line = f"{label}[m={args.rounds}]: {'COMPOSITE' if verdict.is_composite else 'PROBABLE_PRIME'}"
         if verdict.is_composite:  # a driver's composite verdict always names its witness base
             factor = "" if verdict.factor is None else f", factor {verdict.factor}"
             line += f" (witness {verdict.witness}{factor})"
@@ -270,21 +273,15 @@ def _bound_text(bound: float) -> str:
     return "< 0 (uninformative)" if bound < 0 else f"{bound:.9f}"
 
 
-def _cmd_lab(args: argparse.Namespace) -> None:
-    if args.lab_command == "census":
-        header = [f.name for f in dataclasses.fields(pseudolab.LiarCensus)]
-        rows = map(operator.attrgetter(*header), pseudolab.composite_censuses(args.start, args.end))
-        print(render_rows(header, rows, args.format))
-    elif args.lab_command == "carmichael":
-        for n in pseudolab.carmichael_numbers(args.limit):
-            print(n)
-    elif args.lab_command == "pseudoprimes":
-        for n in pseudolab.fermat_pseudoprimes(args.base, args.limit):
-            print(n)
-    elif args.lab_command == "sqrt-of-unity":
-        print(" ".join(str(x) for x in pseudolab.sqrt_of_unity(args.n)))
-    elif args.lab_command == "absolute-euler":
-        print("true" if pseudolab.is_absolute_euler_pseudoprime(args.n) else "false")
+def _cmd_census(args: argparse.Namespace) -> None:
+    header = [f.name for f in dataclasses.fields(pseudolab.LiarCensus)]
+    rows = map(operator.attrgetter(*header), pseudolab.composite_censuses(args.start, args.end))
+    print(render_rows(header, rows, args.format))
+
+
+def _print_lines(values) -> None:
+    for value in values:
+        print(value)
 
 
 if __name__ == "__main__":

@@ -42,6 +42,8 @@ def bayes_confidence(prior_p: float, rounds: int) -> ConfidenceReport:
         raise ValueError("round count must be >= 1")
     prior_c = 1.0 - prior_p
     ratio = prior_c / prior_p
+    if not math.isfinite(ratio):
+        raise ValueError(f"prior odds (1 - p)/p overflow a float, got p = {prior_p}")
     miss = STRONG_ROUND_ERROR**rounds
     slack = ratio * miss
     return ConfidenceReport(
@@ -56,16 +58,14 @@ def bayes_confidence(prior_p: float, rounds: int) -> ConfidenceReport:
 
 
 def rounds_for_confidence(prior_p: float, target: float) -> int:
-    """Smallest m >= 1 whose lower bound reaches `target`."""
-    if not 0.0 < prior_p < 1.0:
-        raise ValueError(f"prior must be in (0, 1), got {prior_p}")
+    """Smallest m >= 1 whose lower bound reaches `target`.
+
+    A plain upward search: 4^-m underflows to 0 by m = 538, where the
+    bound of any finite prior odds is 1.0, so the loop always ends.
+    """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    ratio = (1.0 - prior_p) / prior_p
-    # closed form, then nudge for float rounding at the boundary
-    m = max(1, math.ceil(math.log(ratio / (1.0 - target), 4.0)))
+    m = 1
     while bayes_confidence(prior_p, m).lower_bound < target:
         m += 1
-    while m > 1 and bayes_confidence(prior_p, m - 1).lower_bound >= target:
-        m -= 1
     return m

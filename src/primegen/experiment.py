@@ -15,13 +15,13 @@ from typing import Iterable, Sequence
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import Mode, filtered_prime_prob
 from .errors import RefusalError
-from .primality import Outcome, TestVerdict, has_small_factor, miller_rabin
+from .primality import TestVerdict, has_small_factor, miller_rabin
 from .sampling import Candidate, FilterPolicy, make_stream, random_candidate
 
 CSV_HEADER = ("number", "verdict", "rounds_used", "confidence_lower_bound")
 
 # Only the unfiltered policy draws even candidates; they need no base.
-EVEN = TestVerdict(Outcome.COMPOSITE, factor=2)
+EVEN = TestVerdict(factor=2)
 
 # generate_prime refuses after this many candidates rather than run on.
 MAX_ATTEMPTS = 10**6

@@ -19,35 +19,26 @@ from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow  # noqa: F401 (
 from .errors import RefusalError
 
 
-class Outcome(Enum):
-    COMPOSITE = "composite"
-    PROBABLE_PRIME = "probable prime"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TestVerdict:
-    """Outcome of one or more test rounds.
+    """Verdict of one or more test rounds, read from its evidence.
 
-    Composite verdicts carry a witness base and/or a discovered factor.
-    rounds_survived counts the rounds that reported "probable prime".
+    A verdict is composite iff it carries a witness base or a discovered
+    factor; with neither it is a probable prime. rounds_survived counts
+    the rounds that reported "probable prime".
     """
 
-    outcome: Outcome
     witness: int | None = None
     factor: int | None = None
     rounds_survived: int = 0
 
-    def __post_init__(self) -> None:
-        if self.outcome is Outcome.COMPOSITE and self.witness is None and self.factor is None:
-            raise ValueError("composite verdicts need a witness or a factor")
-
     @property
     def is_composite(self) -> bool:
-        return self.outcome is Outcome.COMPOSITE
+        return self.witness is not None or self.factor is not None
 
     @property
     def is_probable_prime(self) -> bool:
-        return self.outcome is Outcome.PROBABLE_PRIME
+        return not self.is_composite
 
 
 @dataclass(frozen=True)
@@ -80,12 +71,12 @@ def _chain(n: int, a: int) -> list[int]:
     return chain
 
 
-_PASSED = TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=1)  # frozen: one instance serves every pass
+_PASSED = TestVerdict(rounds_survived=1)  # frozen: one instance serves every pass
 
 
 def _witness(n: int, a: int, survived: int) -> TestVerdict:
     g = math.gcd(a, n)  # a base sharing a factor with n fails every round
-    return TestVerdict(Outcome.COMPOSITE, witness=a, factor=g if g > 1 else None, rounds_survived=survived)
+    return TestVerdict(witness=a, factor=g if g > 1 else None, rounds_survived=survived)
 
 
 # Each test's pass condition, written once, on n and the chain of one base.
@@ -150,7 +141,7 @@ def _multi_round(tests, n: int, rounds: int, rng: random.Random) -> dict[str, Te
                 verdicts[test] = _witness(n, a, done)
         if all(verdicts.values()):
             break
-    survived = TestVerdict(Outcome.PROBABLE_PRIME, rounds_survived=rounds)
+    survived = TestVerdict(rounds_survived=rounds)
     return {test: verdict or survived for test, verdict in verdicts.items()}
 
 

@@ -112,6 +112,18 @@ class TestConfidenceCommand:
         assert code == 2
         assert "error" in err
 
+    def test_prior_whose_odds_overflow_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "confidence", "--prior", "1e-320", "--rounds", "1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_rounds_for_target_at_huge_prior_odds(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "confidence", "--prior", "1e-300", "--rounds", "1", "--target-confidence", "0.999999999999999"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "rounds_for_target: 524"
+
 
 class TestTestCommand:
     def test_fermat_false_positive_is_flagged(self, capsys):

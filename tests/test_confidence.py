@@ -65,7 +65,7 @@ class TestBayesConfidence:
             assert all(a < b or b == 1.0 for a, b in zip(bounds, bounds[1:]))
 
     def test_domain_errors(self):
-        for prior in (0.0, 1.0, -0.2, 1.5):
+        for prior in (0.0, 1.0, -0.2, 1.5, 1e-320):
             with pytest.raises(ValueError):
                 bayes_confidence(prior, 4)
         with pytest.raises(ValueError):
@@ -83,8 +83,8 @@ class TestRoundsForConfidence:
         assert bayes_confidence(FILTERED_PRIOR, 4).lower_bound >= 0.9
 
     def test_inverse_property_on_grid(self):
-        for prior in (1e-4, 0.0057, 0.0433, 0.2, 0.7):
-            for target in (0.5, 0.9, 0.99, 0.9999, 0.999999):
+        for prior in (1e-300, 1e-4, 0.0057, 0.0433, 0.2, 0.7):
+            for target in (0.5, 0.9, 0.99, 0.9999, 0.999999, 1 - 1e-15, 0.9999999999999999):
                 m = rounds_for_confidence(prior, target)
                 assert bayes_confidence(prior, m).lower_bound >= target
                 if m > 1:

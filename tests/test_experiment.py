@@ -14,7 +14,7 @@ from primegen.experiment import (
     render_report,
     run_experiment,
 )
-from primegen.primality import ExactOutcome, Outcome, miller_rabin, trial_division
+from primegen.primality import ExactOutcome, miller_rabin, trial_division
 from primegen.primality import TestVerdict as Verdict
 from primegen.sampling import Candidate, FilterPolicy, make_stream, passes_filter
 
@@ -170,13 +170,13 @@ class TestGeneratePrime:
 def _fake_records():
     prime = ExperimentRecord(
         candidate=Candidate(101, 3),
-        verdict=Verdict(Outcome.PROBABLE_PRIME, rounds_survived=10),
+        verdict=Verdict(rounds_survived=10),
         rounds_used=10,
         confidence_lower_bound=0.99997,
     )
     composite = ExperimentRecord(
         candidate=Candidate(561, 3),
-        verdict=Verdict(Outcome.COMPOSITE, witness=2, rounds_survived=0),
+        verdict=Verdict(witness=2, rounds_survived=0),
         rounds_used=1,
         confidence_lower_bound=None,
     )

@@ -9,7 +9,6 @@ from primegen import primality
 from primegen.primality import (
     SMALL_PRIME_BOUND,
     ExactOutcome,
-    Outcome,
     compare_tests,
     euler_round,
     euler_test,
@@ -23,6 +22,26 @@ from primegen.primality import (
     trial_division,
 )
 from primegen.sampling import make_stream
+
+
+class TestVerdictContract:
+    Verdict = primality.TestVerdict  # not imported by name: pytest would collect a Test* class
+
+    def test_no_evidence_is_a_probable_prime(self):
+        verdict = self.Verdict()
+        assert verdict.is_probable_prime and not verdict.is_composite
+
+    def test_a_factor_alone_makes_a_composite(self):
+        verdict = self.Verdict(factor=2)
+        assert verdict.is_composite and not verdict.is_probable_prime
+
+    def test_a_witness_alone_makes_a_composite(self):
+        verdict = self.Verdict(witness=5)
+        assert verdict.is_composite and not verdict.is_probable_prime
+
+    def test_evidence_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            self.Verdict(5)
 
 
 class TestFermatRound:
@@ -192,8 +211,8 @@ class TestMultiRoundDrivers:
                 a = rng.randint(2, n - 2)
                 if not liar_oracle(n, a)[test]:
                     g = math.gcd(a, n)
-                    return Verdict(Outcome.COMPOSITE, witness=a, factor=g if g > 1 else None, rounds_survived=done)
-            return Verdict(Outcome.PROBABLE_PRIME, rounds_survived=rounds)
+                    return Verdict(witness=a, factor=g if g > 1 else None, rounds_survived=done)
+            return Verdict(rounds_survived=rounds)
 
         drivers = {"fermat": fermat_test, "euler": euler_test, "miller_rabin": miller_rabin}
         for n in range(5, 3001, 2):
