@@ -34,6 +34,11 @@ EXIT_REFUSED = 3
 # default decimal context (Emax 999999).
 DENSITY_DIGIT_CAP = 4300
 
+# Most rounds `test` runs per test. A probable prime's error bound is
+# 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about 4 s
+# (Python 3.11), and the cost grows linearly with the round count.
+TEST_ROUND_CAP = 100
+
 POLICIES = {p.label: p for p in FilterPolicy}
 
 
@@ -151,6 +156,8 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_test(args: argparse.Namespace) -> None:
+    if args.rounds > TEST_ROUND_CAP:
+        raise RefusalError(f"test capped at {TEST_ROUND_CAP} rounds, got {args.rounds}")
     n = args.n
     try:
         exact = trial_division(n)

@@ -2,16 +2,17 @@
 
 Liar counts, the absolute Euler check and the roots of unity come from
 the prime factors of n; the Fermat-pseudoprime and Carmichael scans
-sieve a range. Sweeps are capped and refuse to run past their caps
-instead of silently taking hours.
+share one congruence sieve over a range. Sweeps are capped and refuse
+to run past their caps instead of silently taking hours.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .arith import decompose_pow2
 from .errors import RefusalError
@@ -25,6 +26,8 @@ CENSUS_CAP = 10**6
 CENSUS_ROW_CAP = 10**5
 ABSOLUTE_EULER_CAP = 10**6
 SQRT_UNITY_CAP = 10**9
+
+_FLIP = bytes([1, 0]) + bytes(254)  # bytes.translate table swapping 0 and 1
 
 
 @dataclass(frozen=True)
@@ -101,32 +104,96 @@ def composite_censuses(start: int, end: int) -> Iterator[LiarCensus]:
             yield liar_census(n, _factorize(n, table))
 
 
-def _orders(a: int, table: array, bound: int) -> list[int]:
-    """order[p] = ord_p(a) for each odd prime p <= bound not dividing a, else 0 (order[0] too):
-    each prime q of p - 1, read from `table`, is stripped from d = p - 1 while a^(d/q) = 1 (mod p)."""
-    order = [0] * (bound + 1)
-    for p in range(3, bound + 1, 2):
-        if table[p] or a % p == 0:
-            continue
-        d = m = p - 1
-        while m > 1:
-            q = table[m] or m
-            while m % q == 0:
-                m //= q
-            while d % q == 0 and pow(a, d // q, p) == 1:
-                d //= q
-        order[p] = d
-    return order
+def _order(a: int, p: int, d: int, table: array) -> int:
+    """ord_p(a) for a prime p and a^d = 1 (mod p): each prime q of d, read
+    from `table` (a factor_table covering d), is stripped from d while
+    a^(d/q) = 1 (mod p)."""
+    for q in _factorize(d, table):
+        while d % q == 0 and pow(a, d // q, p) == 1:
+            d //= q
+    return d
+
+
+def _clear(flags: bytearray, start: int, step: int) -> None:
+    flags[start::step] = bytes(len(range(start, len(flags), step)))
+
+
+def _keep_congruent(flags: bytearray, p: int, e: int) -> None:
+    # Odd-n flags (index i is n = 2i + 1): of the odd multiples of p, keep only
+    # n = p (mod p lcm(2, e)), that is n/p = 1 (mod lcm(2, e)); none when e is 0.
+    step = p * math.lcm(2, e) // 2
+    kept = flags[p // 2 :: step] if e else None
+    _clear(flags, p // 2, p)
+    if e:
+        flags[p // 2 :: step] = kept
+
+
+def _congruence_sieve(limit: int, period: Callable[[int], int], *, squarefree: bool = False,
+                      root_bounded: bool = False) -> Iterator[int]:
+    """Odd composites n in [9, limit], ascending, minus those that some
+    prime p rules out.
+
+    A member n divisible by the odd prime p has n = 1 (mod e) for
+    e = period(p), a divisor of p - 1, so n = p (mod p lcm(2, e)) by the
+    Chinese remainder theorem; e = 0 says p divides no member. With
+    `squarefree` no member is divisible by p^2, and with `root_bounded`
+    no member has a prime factor above its square root.
+
+    The flags cover odd n only and all per-n work is slice assignment.
+    Each prime p <= r = isqrt(limit) keeps its congruent odd multiples.
+    A prime P > r divides n only as n = k P with odd k <= limit // P <= r,
+    and no second prime above r divides n. The P with period 0 (all of
+    them when `root_bounded`) form a mask, and each odd k clears k P for
+    every masked P at once: one AND-NOT of the mask with the odd multiples
+    of k, as integers. The other P keep their congruent multiples one at
+    a time. The sieve only removes numbers; the caller checks each one
+    left, so its list stays exact.
+    """
+    size, r = (limit + 1) // 2, math.isqrt(limit)
+    small = (r + 1) // 2  # flags[:small] are the odd n <= r
+    flags = bytearray([1]) * size  # odd primes once sieved
+    flags[0] = 0
+    for i in range(1, small):
+        if flags[i]:
+            p = 2 * i + 1
+            _clear(flags, p * p // 2, p)
+    members = flags.translate(_FLIP)  # odd composites
+    members[0] = 0
+    for i in range(1, small):
+        if flags[i]:
+            p = 2 * i + 1
+            _keep_congruent(members, p, period(p))
+            if squarefree:
+                _clear(members, p * p // 2, p * p)
+    mask = flags  # the primes above r
+    mask[:small] = bytes(small)
+    if not root_bounded:
+        top = (limit // 3 + 1) // 2  # primes with an odd multiple 3P <= limit
+        for i in compress(range(small, top), mask[small:top]):
+            p = 2 * i + 1
+            if e := period(p):
+                mask[i] = 0
+                _keep_congruent(members, p, e)
+    for k in range(3, limit // (r + 1) + 1, 2):
+        first = k // 2 + k * small  # n = k (2 small + 1), the first cofactor above r
+        count = len(range(first, size, k))
+        x, y = int.from_bytes(members[first::k], "big"), int.from_bytes(mask[small : small + count], "big")
+        members[first::k] = (x ^ x & y).to_bytes(count, "big")  # x AND NOT y
+    i = members.find(1)
+    while i >= 0:
+        yield 2 * i + 1
+        i = members.find(1, i + 1)
 
 
 def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
     """Odd composite n <= limit, coprime to a, with a^(n-1) = 1 (mod n).
 
-    The modexp runs only when the sieve's prime p = table[n] passes a
-    necessary condition: a^(n-1) = 1 (mod n) gives a^(n-1) = 1 (mod p),
-    so p does not divide a (else a^(n-1) = 0) and ord_p(a) divides n - 1.
-    Every n skipped fails the congruence and only that pow admits an n,
-    so the list is exact.
+    a^(n-1) = 1 (mod n) gives a^(n-1) = 1 (mod p) for each prime p of n,
+    so p does not divide a and ord_p(a) divides n - 1: the sieve's period
+    is ord_p(a), or 0 when p | a. For a prime P above isqrt(limit) the
+    cofactor k = n/P is at most limit // P and ord_P(a) divides k - 1, so
+    it divides d = gcd(P - 1, lcm(1..limit//P - 1)); when a^d != 1
+    (mod P), no multiple of P passes. Only pow(a, n - 1, n) admits an n.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
@@ -134,9 +201,16 @@ def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
         raise RefusalError(f"scan capped at {FERMAT_SCAN_CAP}, got {limit}")
     if limit < 9:
         return []
-    table = factor_table(limit)
-    order = _orders(a, table, math.isqrt(limit))
-    return [n for n in range(9, limit + 1, 2) if (d := order[table[n]]) and (n - 1) % d == 0 and pow(a, n - 1, n) == 1]
+    r = math.isqrt(limit)
+    lcms = list(accumulate(range(1, r + 1), math.lcm, initial=1))  # lcms[j] = lcm(1..j)
+    # d below divides both P - 1 < limit // K and lcm(1..K-1), K = limit // P
+    table = factor_table(max(r, *(min(limit // k, lcms[k - 1]) for k in range(3, r + 1))))
+
+    def period(p: int) -> int:
+        d = p - 1 if p <= r else math.gcd(p - 1, lcms[limit // p - 1])
+        return _order(a, p, d, table) if pow(a, d, p) == 1 else 0
+
+    return [n for n in _congruence_sieve(limit, period) if pow(a, n - 1, n) == 1]
 
 
 def carmichael_numbers(limit: int) -> list[int]:
@@ -144,27 +218,21 @@ def carmichael_numbers(limit: int) -> list[int]:
 
     Korselt's criterion (squarefree, and p-1 divides n-1 for every prime
     factor p) characterizes them; base n-1 rules out every even
-    composite, so only odd n are scanned. Any prime factor serves both
-    tests, so the sieve need not give the smallest one.
+    composite, so only odd n are sieved, with period p - 1. A member's
+    n/p = 1 (mod p - 1) exceeds 1, so n/p >= p: every prime factor is at
+    most sqrt(n). Only the Korselt check on its factors admits an n.
     """
     if limit > CARMICHAEL_CAP:
         raise RefusalError(f"scan capped at {CARMICHAEL_CAP}, got {limit}")
     if limit < 9:
         return []
-    table = factor_table(limit)
-    found = []
-    for n in range(9, limit + 1, 2):
-        if not table[n]:
-            continue
-        m = n
-        while m > 1:
-            p = table[m] or m
-            m //= p
-            if m % p == 0 or (n - 1) % (p - 1):
-                break
-        else:
-            found.append(n)
-    return found
+    survivors = _congruence_sieve(limit, lambda p: p - 1, squarefree=True, root_bounded=True)
+    return [n for n in survivors if _korselt(_factorize(n), n - 1)]
+
+
+def _korselt(factors: dict[int, int], m: int) -> bool:
+    # n = prod p^j is squarefree and p - 1 divides m for every prime p of n
+    return all(j == 1 and m % (p - 1) == 0 for p, j in factors.items())
 
 
 def is_absolute_euler_pseudoprime(n: int) -> bool:
@@ -176,7 +244,7 @@ def is_absolute_euler_pseudoprime(n: int) -> bool:
     if n > ABSOLUTE_EULER_CAP:
         raise RefusalError(f"check capped at {ABSOLUTE_EULER_CAP}, got {n}")
     factors = _odd_composite_factors(n, "check")
-    return all(j == 1 and ((n - 1) // 2) % (p - 1) == 0 for p, j in factors.items())
+    return _korselt(factors, (n - 1) // 2)
 
 
 def _factorize(n: int, table: array | None = None) -> dict[int, int]:

@@ -161,6 +161,21 @@ class TestTestCommand:
         assert "trial_division" not in out
         assert "skipped" in err
 
+    def test_round_count_above_the_cap_refused_before_any_chain(self, capsys, monkeypatch):
+        def chain(n, a):
+            raise AssertionError("chain built before the refusal")
+
+        monkeypatch.setattr(primality, "_chain", chain)
+        rounds = str(cli.TEST_ROUND_CAP + 1)
+        code, out, err = run_cli(capsys, "test", "170141183460469231731687303715884105727", "--rounds", rounds)
+        assert code == 3
+        assert out == "" and err.startswith("refused: ")
+
+    def test_round_count_at_the_cap_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "test", "97", "--rounds", str(cli.TEST_ROUND_CAP), "--seed", "0")
+        assert code == 0
+        assert out.count(f"[m={cli.TEST_ROUND_CAP}]: PROBABLE_PRIME") == 3
+
 
 class TestExperimentCommand:
     def test_byte_identical_runs(self, capsys):

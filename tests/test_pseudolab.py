@@ -7,6 +7,8 @@ from primegen import pseudolab
 from primegen.errors import RefusalError
 from primegen.primality import ExactOutcome, euler_round, fermat_round, miller_rabin, miller_rabin_round, trial_division
 from primegen.pseudolab import (
+    CARMICHAEL_CAP,
+    FERMAT_SCAN_CAP,
     LiarCensus,
     carmichael_numbers,
     census_range,
@@ -180,6 +182,55 @@ class TestFermatPseudoprimes:
             fermat_pseudoprimes(1, 100)
         with pytest.raises(RefusalError):
             fermat_pseudoprimes(2, 10**7 + 1)
+
+
+# p^2 - 1, p^2, (p + 1)^2 - 1 and (p + 1)^2, and their neighbours, put the sieve's
+# split at isqrt(limit) on both parities; 317, the first prime above
+# isqrt(99999) = 316, once fell between the small and the large primes.
+SIEVE_EDGE_LIMITS = sorted(
+    {q + d for p in (3, 5, 7, 11, 13, 31, 316) for q in (p * p, (p + 1) ** 2) for d in (-1, 0, 1)} | {99999}
+)
+
+
+def pow_rescan(a, limit, flags):
+    return [n for n in range(9, limit + 1, 2) if not flags[n] and pow(a, n - 1, n) == 1]
+
+
+class TestSieveEdges:
+    def test_limits_cover_both_root_parities(self):
+        assert {math.isqrt(limit) % 2 for limit in SIEVE_EDGE_LIMITS if limit >= 9} == {0, 1}
+        assert 99999 in SIEVE_EDGE_LIMITS and math.isqrt(99999) == 316
+
+    @pytest.mark.parametrize("a", [2, 3 * 5 * 7, 1001])
+    def test_fermat_matches_a_pow_rescan(self, prime_flags, a):
+        flags = prime_flags(SIEVE_EDGE_LIMITS[-1])
+        for limit in SIEVE_EDGE_LIMITS:
+            assert fermat_pseudoprimes(a, limit) == pow_rescan(a, limit, flags), limit
+
+    def test_fermat_base_just_above_the_root(self, prime_flags):
+        # a prime base P > isqrt(limit) divides no member, so every multiple of P goes
+        flags = prime_flags(SIEVE_EDGE_LIMITS[-1])
+        for limit in SIEVE_EDGE_LIMITS:
+            a = next(q for q in range(math.isqrt(limit) + 1, 2 * limit) if flags[q])
+            assert fermat_pseudoprimes(a, limit) == pow_rescan(a, limit, flags), limit
+
+    def test_carmichael_matches_a_korselt_rescan(self, prime_flags):
+        # every Carmichael number is a base-2 pseudoprime; Korselt from the test's own factoring
+        flags = prime_flags(SIEVE_EDGE_LIMITS[-1])
+        for limit in SIEVE_EDGE_LIMITS[::-1]:
+            if limit > CARMICHAEL_CAP:
+                continue
+            rescan = [
+                n
+                for n in pow_rescan(2, limit, flags)
+                if all(n % (p * p) and (n - 1) % (p - 1) == 0 for p in _distinct_prime_factors(n))
+            ]
+            assert carmichael_numbers(limit) == rescan, limit
+
+    def test_750_base_2_pseudoprimes_below_the_cap(self):
+        found = fermat_pseudoprimes(2, FERMAT_SCAN_CAP)
+        assert len(found) == 750  # OEIS A001567
+        assert found[:7] == [341, 561, 645, 1105, 1387, 1729, 1905]
 
 
 class TestCarmichaelNumbers:
