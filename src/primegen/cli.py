@@ -17,7 +17,8 @@ import sys
 
 from . import pseudolab
 from .confidence import bayes_confidence, rounds_for_confidence
-from .density import Mode, base_prime_prob, digit_prime_count, digit_prime_count_bounds, filtered_prime_prob
+from .density import Mode, base_prime_prob, digit_prime_counts, filtered_prime_prob
+from .density import digit_prime_count, digit_prime_count_bounds  # noqa: F401 (bench/spans.py wraps them here)
 from .errors import RefusalError
 from .experiment import ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
 from .primality import ExactOutcome, compare_tests, trial_division
@@ -30,13 +31,14 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 # Largest digit count a density table may reach. The full 2-4300 table takes
-# ~0.1 s (Python 3.11); past 10^6 digits the counts would overflow the
+# ~0.11 s (Python 3.11); past 10^6 digits the counts would overflow the
 # default decimal context (Emax 999999).
 DENSITY_DIGIT_CAP = 4300
 
 # Most rounds `test` runs per test. A probable prime's error bound is
-# 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about 4 s
-# (Python 3.11), and the cost grows linearly with the round count.
+# 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about 0.55 s
+# with GMP and about 4.3 s with builtin pow (Python 3.11), and the cost
+# grows linearly with the round count.
 TEST_ROUND_CAP = 100
 
 POLICIES = {p.label: p for p in FilterPolicy}
@@ -224,16 +226,14 @@ def _cmd_density(args: argparse.Namespace) -> None:
     if digits[-1] > DENSITY_DIGIT_CAP:
         raise RefusalError(f"density table capped at {DENSITY_DIGIT_CAP} digits, got {digits[-1]}")
     rows = []
-    for k in digits:
+    for k, (count, lower, upper) in zip(digits, digit_prime_counts(digits)):
         exp = k - 1
-        count = digit_prime_count(k)
-        bounds = digit_prime_count_bounds(k) if k >= 6 else None
         rows.append({
             "digits": k,
             "pool_size": str_at(pool_size(k, policy), exp),
             "prime_count_estimate": str_at(count, exp),
-            "dusart_lower": str_at(bounds[0], exp) if bounds else "",
-            "dusart_upper": str_at(bounds[1], exp) if bounds else "",
+            "dusart_lower": str_at(lower, exp) if k >= 6 else "",  # Dusart's bracket needs 10^(k-1) >= 60184
+            "dusart_upper": str_at(upper, exp) if k >= 6 else "",
             "base_prob": f"{base_prime_prob(k):.9f}",
             "filtered_prob": f"{filtered_prime_prob(k, policy, mode):.9f}",
         })

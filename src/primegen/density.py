@@ -15,6 +15,7 @@ reference constants that follow from that factor.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from decimal import Decimal
 from enum import Enum
 
@@ -45,7 +46,8 @@ def digit_prime_count(k: int) -> Decimal:
     """
     if k < 2:
         raise ValueError("digit count must be >= 2")
-    return pnt_estimate(Decimal(10) ** k) - pnt_estimate(Decimal(10) ** (k - 1))
+    [(count, _, _)] = digit_prime_counts(range(k, k + 1))
+    return count
 
 
 def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
@@ -66,9 +68,34 @@ def digit_prime_count_bounds(k: int) -> tuple[Decimal, Decimal]:
     """
     if k < 6:
         raise ValueError("digit count must be >= 6 for a valid bracket")
-    top_low, top_up = dusart_bounds(Decimal(10) ** k)
-    bot_low, bot_up = dusart_bounds(Decimal(10) ** (k - 1))
-    return top_low - bot_up, top_up - bot_low
+    [(_, low, up)] = digit_prime_counts(range(k, k + 1))
+    return low, up
+
+
+def _decade(j: int) -> tuple[Decimal, Decimal, Decimal]:
+    """pnt_estimate and the two dusart_bounds of x = 10^j, from one ln x.
+
+    The same Decimal operations as those functions, so the same values;
+    the Dusart pair is a valid bracket only for 10^j >= DUSART_MIN.
+    """
+    value = Decimal(10) ** j
+    ln_x = value.ln()
+    return value / ln_x, value / (ln_x - 1), value / (ln_x - Decimal("1.1"))
+
+
+def digit_prime_counts(digits: range) -> Iterator[tuple[Decimal, Decimal, Decimal]]:
+    """(digit_prime_count(k), *digit_prime_count_bounds(k)) for each k in digits >= 2.
+
+    Rows k - 1 and k share the decade 10^(k-1), so each decade is worked
+    out once. The bounds are meaningful only from k = 6 on.
+    """
+    if digits[0] < 2:
+        raise ValueError("digit count must be >= 2")
+    bot_pnt, bot_low, bot_up = _decade(digits[0] - 1)
+    for k in digits:
+        top_pnt, top_low, top_up = _decade(k)
+        yield top_pnt - bot_pnt, top_low - bot_up, top_up - bot_low
+        bot_pnt, bot_low, bot_up = top_pnt, top_low, top_up
 
 
 def base_prime_prob(k: int) -> float:

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow  # noqa: F401 (bench/spans.py wraps it here)
+from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow
 from .errors import RefusalError
 
 
@@ -65,7 +65,7 @@ def _chain(n: int, a: int) -> list[int]:
     Fermat reads the last entry, Euler the one before it, and the strong
     test the head plus any n - 1 before the last entry."""
     s = ((n - 1) & -(n - 1)).bit_length() - 1
-    chain = [pow(a, (n - 1) >> s, n)]
+    chain = [mod_pow(a, (n - 1) >> s, n)]
     for _ in range(s):
         chain.append(chain[-1] * chain[-1] % n)
     return chain

@@ -1,7 +1,38 @@
-import pytest
-from hypothesis import given, strategies as st
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
-from primegen.arith import TwoAdicDecomposition, decompose_pow2, mod_pow
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from primegen import arith
+from primegen.arith import GMP_MIN_BITS, TwoAdicDecomposition, decompose_pow2, mod_pow
+
+SRC = str(Path(arith.__file__).parents[1])
+GMP_LOADS = arith._libgmp() is not None
+
+# every modulus size from 2 to 4096 bits, on both sides of GMP_MIN_BITS
+moduli = st.integers(2, 4096).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+# (base, exponent, modulus) at the cutoff's neighbours and at 1024 bits: odd and
+# even moduli, negative bases, bases >= modulus, exponent 0, exponent > modulus
+EDGE_CASES = [
+    (base, exponent, modulus)
+    for bits in (GMP_MIN_BITS - 1, GMP_MIN_BITS, 1024)
+    for modulus in ((1 << bits) - 59, (1 << bits) - 58)
+    for base in (-modulus - 7, -2, 0, 1, 3, modulus - 1, modulus, 5 * modulus + 3)
+    for exponent in (0, 1, 65537, modulus + 12345)
+]
+
+
+@pytest.fixture(params=["gmp", "builtin"])
+def binding(request, monkeypatch):
+    """Runs a test once as the package runs it and once with libgmp forced not to load."""
+    if request.param == "builtin":
+        monkeypatch.setattr(arith, "_libgmp", lambda: None)
+    return request.param
 
 
 def naive_pow_mod(base: int, exponent: int, modulus: int) -> int:
@@ -48,6 +79,96 @@ class TestModPow:
     def test_exponent_additivity(self, a, e1, e2, n):
         combined = mod_pow(a, e1 + e2, n)
         assert combined == mod_pow(a, e1, n) * mod_pow(a, e2, n) % n
+
+
+class TestGmpKernel:
+    """mod_pow through libgmp, checked against builtin pow."""
+
+    def test_edge_cases_match_builtin(self, binding):
+        for base, exponent, modulus in EDGE_CASES:
+            assert mod_pow(base, exponent, modulus) == pow(base, exponent, modulus), (base, exponent, modulus)
+
+    # the binding stays as the fixture set it for every example
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(modulus=moduli, data=st.data())
+    def test_matches_builtin_up_to_4096_bits(self, binding, modulus, data):
+        base = data.draw(st.integers(-3 * modulus, 3 * modulus), label="base")
+        exponent = data.draw(st.one_of(st.integers(0, 2**64), st.integers(modulus, 2 * modulus)), label="exponent")
+        assert mod_pow(base, exponent, modulus) == pow(base, exponent, modulus)
+
+    def test_threads_share_no_state(self, binding):
+        # more threads than CPUs; ctypes releases the GIL inside mpz_powm, so
+        # the calls overlap, and a cleared cache makes the threads race to load libgmp
+        n = (1 << 2047) + 1155  # any 2048-bit modulus will do
+        jobs = [(3 + 2 * i, n - 1 - i) for i in range(8)]
+        expected = [pow(a, e, n) for a, e in jobs]
+        results: list[list[int]] = [[] for _ in jobs]
+
+        def work(i):
+            a, e = jobs[i]
+            results[i].extend(mod_pow(a, e, n) for _ in range(3))
+
+        if binding == "gmp":
+            arith._libgmp.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[x] * 3 for x in expected]
+
+    @pytest.mark.skipif(not GMP_LOADS, reason="libgmp does not load on this host")
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the resident set from /proc")
+    def test_no_memory_kept_across_calls(self):
+        # A missed mpz_clear keeps ~800 bytes per 2048-bit call: 16 MB in 20 000
+        # calls. The resident set is read from /proc, not from ru_maxrss, which
+        # a child started from this process inherits at the parent's peak.
+        code = """if True:
+            import os, random
+            from primegen.arith import mod_pow
+
+            def resident():
+                with open("/proc/self/statm") as fh:
+                    return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+            rng = random.Random(1)
+            n = rng.getrandbits(2048) | 1 << 2047 | 1
+            bases = [rng.getrandbits(2048) for _ in range(100)]
+            for a in bases:
+                mod_pow(a, 65537, n)
+            before = resident()
+            for _ in range(200):
+                for a in bases:
+                    mod_pow(a, 65537, n)
+            print(resident() - before)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 4 << 20
+
+    def test_loading_starts_no_process(self):
+        # ctypes.util.find_library would run ldconfig or a compiler
+        code = """if True:
+            import sys
+            events = []
+            sys.addaudithook(lambda event, args: events.append(event)
+                             if event.startswith(("subprocess.", "os.exec", "os.fork", "os.posix_spawn", "os.system"))
+                             else None)
+            from primegen.arith import mod_pow
+            mod_pow(3, 1 << 2048, (1 << 2048) - 1)
+            print(events)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestDecomposePow2:
