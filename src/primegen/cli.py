@@ -226,7 +226,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
     if digits[-1] > DENSITY_DIGIT_CAP:
         raise RefusalError(f"density table capped at {DENSITY_DIGIT_CAP} digits, got {digits[-1]}")
     rows = []
-    for k, (count, lower, upper) in zip(digits, digit_prime_counts(digits)):
+    for k, (count, lower, upper) in zip(digits, digit_prime_counts(digits[0], digits[-1])):
         exp = k - 1
         rows.append({
             "digits": k,

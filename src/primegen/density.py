@@ -36,7 +36,11 @@ def pnt_estimate(x: "int | float | Decimal") -> Decimal:
     value = Decimal(x)
     if not (value.is_finite() and value >= 2):
         raise ValueError("x must be a finite number >= 2")
-    return value / value.ln()
+    return _pnt(value, value.ln())
+
+
+def _pnt(value: Decimal, ln_x: Decimal) -> Decimal:
+    return value / ln_x
 
 
 def digit_prime_count(k: int) -> Decimal:
@@ -46,8 +50,7 @@ def digit_prime_count(k: int) -> Decimal:
     """
     if k < 2:
         raise ValueError("digit count must be >= 2")
-    [(count, _, _)] = digit_prime_counts(range(k, k + 1))
-    return count
+    return _decade(k)[0] - _decade(k - 1)[0]
 
 
 def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
@@ -55,7 +58,10 @@ def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
     value = Decimal(x)
     if not (value.is_finite() and value >= DUSART_MIN):
         raise ValueError(f"bounds require a finite x >= {DUSART_MIN}")
-    ln_x = value.ln()
+    return _dusart(value, value.ln())
+
+
+def _dusart(value: Decimal, ln_x: Decimal) -> tuple[Decimal, Decimal]:
     return value / (ln_x - 1), value / (ln_x - Decimal("1.1"))
 
 
@@ -68,31 +74,31 @@ def digit_prime_count_bounds(k: int) -> tuple[Decimal, Decimal]:
     """
     if k < 6:
         raise ValueError("digit count must be >= 6 for a valid bracket")
-    [(_, low, up)] = digit_prime_counts(range(k, k + 1))
-    return low, up
+    _, top_low, top_up = _decade(k)
+    _, bot_low, bot_up = _decade(k - 1)
+    return top_low - bot_up, top_up - bot_low
 
 
 def _decade(j: int) -> tuple[Decimal, Decimal, Decimal]:
     """pnt_estimate and the two dusart_bounds of x = 10^j, from one ln x.
 
-    The same Decimal operations as those functions, so the same values;
-    the Dusart pair is a valid bracket only for 10^j >= DUSART_MIN.
+    The Dusart pair is a valid bracket only for 10^j >= DUSART_MIN.
     """
     value = Decimal(10) ** j
     ln_x = value.ln()
-    return value / ln_x, value / (ln_x - 1), value / (ln_x - Decimal("1.1"))
+    return _pnt(value, ln_x), *_dusart(value, ln_x)
 
 
-def digit_prime_counts(digits: range) -> Iterator[tuple[Decimal, Decimal, Decimal]]:
-    """(digit_prime_count(k), *digit_prime_count_bounds(k)) for each k in digits >= 2.
+def digit_prime_counts(lo: int, hi: int) -> Iterator[tuple[Decimal, Decimal, Decimal]]:
+    """(digit_prime_count(k), *digit_prime_count_bounds(k)) for k = lo..hi, lo >= 2.
 
     Rows k - 1 and k share the decade 10^(k-1), so each decade is worked
     out once. The bounds are meaningful only from k = 6 on.
     """
-    if digits[0] < 2:
+    if lo < 2:
         raise ValueError("digit count must be >= 2")
-    bot_pnt, bot_low, bot_up = _decade(digits[0] - 1)
-    for k in digits:
+    bot_pnt, bot_low, bot_up = _decade(lo - 1)
+    for k in range(lo, hi + 1):
         top_pnt, top_low, top_up = _decade(k)
         yield top_pnt - bot_pnt, top_low - bot_up, top_up - bot_low
         bot_pnt, bot_low, bot_up = top_pnt, top_low, top_up

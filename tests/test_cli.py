@@ -54,10 +54,11 @@ class TestDensityCommand:
 
     @pytest.mark.parametrize("digits", ["4301", "2-4301", "1000000"])
     def test_oversized_table_refused_before_any_row(self, capsys, monkeypatch, digits):
-        def count(k):
-            raise AssertionError(f"row {k} computed before the refusal")
+        def counts(lo, hi):
+            raise AssertionError(f"rows {lo}-{hi} computed before the refusal")
+            yield
 
-        monkeypatch.setattr(cli, "digit_prime_count", count)
+        monkeypatch.setattr(cli, "digit_prime_counts", counts)
         code, out, err = run_cli(capsys, "density", "--digits", digits)
         assert code == 3
         assert out == "" and "refused" in err
@@ -897,18 +898,13 @@ n,total_bases,fermat_liars,euler_liars,strong_liars
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
-def test_golden_stdout(capsys, command):
-    code, out, _ = run_cli(capsys, *command.split())
-    assert code == 0
-    assert out == GOLDEN[command]
-
-
-@pytest.mark.parametrize("command", list(GOLDEN))
-def test_golden_stdout_without_gmp(capsys, monkeypatch, command):
-    monkeypatch.setattr(arith, "_libgmp", lambda: None)  # as on a host without libgmp: builtin pow only
-    code, out, _ = run_cli(capsys, *command.split())
-    assert code == 0
-    assert out == GOLDEN[command]
+def test_golden_stdout(capsys, monkeypatch, command):
+    # as the package runs, then as on a host without libgmp: builtin pow only
+    for libgmp in (arith._libgmp, lambda: None):
+        monkeypatch.setattr(arith, "_libgmp", libgmp)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert out == GOLDEN[command]
 
 
 def test_test_command_builds_one_chain_per_base_for_all_three_tests(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from primegen.density import (
     base_prime_prob,
     digit_prime_count,
     digit_prime_count_bounds,
+    digit_prime_counts,
     dusart_bounds,
     filter_factor,
     filtered_prime_prob,
@@ -109,6 +110,23 @@ class TestDigitPrimeCountBounds:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             digit_prime_count_bounds(5)
+
+
+class TestDigitPrimeCounts:
+    def test_rows_equal_the_definitions(self):
+        # exact Decimal equality: the table shares decades between rows, the
+        # single-row functions do not, and both must print the same bytes
+        rows = list(digit_prime_counts(6, 40))
+        assert len(rows) == 35
+        for k, (count, lower, upper) in zip(range(6, 41), rows):
+            (top_low, top_up), (bot_low, bot_up) = dusart_bounds(10**k), dusart_bounds(10 ** (k - 1))
+            assert count == pnt_estimate(10**k) - pnt_estimate(10 ** (k - 1)) == digit_prime_count(k)
+            assert (lower, upper) == (top_low - bot_up, top_up - bot_low) == digit_prime_count_bounds(k)
+
+    def test_single_row_and_domain_error(self):
+        assert [row[0] for row in digit_prime_counts(2, 2)] == [digit_prime_count(2)]
+        with pytest.raises(ValueError):
+            next(digit_prime_counts(1, 4))
 
 
 class TestBasePrimeProb:
