@@ -36,9 +36,9 @@ EXIT_REFUSED = 3
 DENSITY_DIGIT_CAP = 4300
 
 # Most rounds `test` runs per test. A probable prime's error bound is
-# 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about 0.55 s
-# with GMP and about 4.3 s with builtin pow (Python 3.11), and the cost
-# grows linearly with the round count.
+# 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about 0.35 s
+# with GMP on 2 CPUs (0.55 s on one) and about 4.4 s with builtin pow
+# (Python 3.11), and the cost grows linearly with the round count.
 TEST_ROUND_CAP = 100
 
 POLICIES = {p.label: p for p in FilterPolicy}

@@ -10,6 +10,7 @@ is one draw from the residues coprime to it.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -34,6 +35,18 @@ class FilterPolicy(Enum):
         self.offsets = tuple(o for o in range(wheel) if math.gcd(10 + o, wheel) == 1)
 
 
+@functools.lru_cache(maxsize=128)
+def _digit_range(digits: int) -> tuple[int, int]:
+    """[10^(d-1), 10^d) as its two ends, worked out once per digit count."""
+    return 10 ** (digits - 1), 10**digits
+
+
+@functools.lru_cache(maxsize=128)
+def _wheel_periods(digits: int, wheel: int) -> int:
+    """Whole wheel periods in the d-digit range: 9*10^(d-1)/W."""
+    return 9 * _digit_range(digits)[0] // wheel
+
+
 @dataclass(frozen=True)
 class Candidate:
     """A d-digit integer."""
@@ -42,7 +55,8 @@ class Candidate:
     digits: int
 
     def __post_init__(self) -> None:
-        if self.n < 10 ** (self.digits - 1) or self.n >= 10**self.digits:
+        low, high = _digit_range(self.digits)
+        if not low <= self.n < high:
             raise ValueError(f"{self.n} does not have exactly {self.digits} digits")
 
 
@@ -84,8 +98,8 @@ def random_candidate(digits: int, policy: FilterPolicy, rng: random.Random) -> C
     if digits < 2:
         raise ValueError("digit count must be >= 2; the 1-digit pool is degenerate")
     w = policy.wheel
-    low = 10 ** (digits - 1)
-    return Candidate(low + w * rng.randrange(9 * low // w) + rng.choice(policy.offsets), digits)
+    offset = w * rng.randrange(_wheel_periods(digits, w)) + rng.choice(policy.offsets)
+    return Candidate(_digit_range(digits)[0] + offset, digits)
 
 
 def pool_size(digits: int, policy: FilterPolicy) -> Decimal:

@@ -370,6 +370,18 @@ def test_published_prior_above_one_is_usage_error(capsys, monkeypatch, command, 
     assert out == "" and "prior must be in (0, 1)" in err
 
 
+# Fermat's F11 = 2^2048 + 1 is composite; seed 1's first base is a witness to
+# all three tests, so the line pins the order in which bases are drawn.
+F11_WITNESS = (
+    "2187371853895583767712357446389840494880764927776939041036438187414731452393553412120005107419665250"
+    "8274297615262647861538720820261498049141126940788520768279530449773625390015421162120124561578760015"
+    "3042058950602748831077492796784300180825399708963003293207846098685741792109126805007550612762143210"
+    "7907821359189476980509577161439339397675400531547545752185862929965372646075819281207140748618120085"
+    "9413336067255409296658838616816684576112877945074734750115068888282206214264961910257744276627649524"
+    "6001247362023235041552640152732831007184066641908823403159911013176498376328693950551850517561131252"
+    "57031433970889207"
+)
+
 # CLI stdout bytes are part of the behaviour contract. These commands run all
 # three round tests through their drivers, the liar census, and every report
 # renderer: tables with padded and empty columns, csv, json and key: value lines.
@@ -396,6 +408,18 @@ miller_rabin[m=10]: PROBABLE_PRIME
 fermat[m=10]: PROBABLE_PRIME
 euler[m=10]: PROBABLE_PRIME
 miller_rabin[m=10]: PROBABLE_PRIME
+""",
+    # 2^2203 - 1 and 2^2048 + 1 lie above primality.PARALLEL_MIN_BITS: after
+    # the first base, the prime's chains run concurrently.
+    f"test {2**2203 - 1} --rounds 10 --seed 1": """\
+fermat[m=10]: PROBABLE_PRIME
+euler[m=10]: PROBABLE_PRIME
+miller_rabin[m=10]: PROBABLE_PRIME
+""",
+    f"test {2**2048 + 1} --rounds 10 --seed 1": f"""\
+fermat[m=10]: COMPOSITE (witness {F11_WITNESS})
+euler[m=10]: COMPOSITE (witness {F11_WITNESS})
+miller_rabin[m=10]: COMPOSITE (witness {F11_WITNESS})
 """,
     "lab census --start 551 --end 651": """\
 n,total_bases,fermat_liars,euler_liars,strong_liars
@@ -899,9 +923,11 @@ n,total_bases,fermat_liars,euler_liars,strong_liars
 
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_golden_stdout(capsys, monkeypatch, command):
-    # as the package runs, then as on a host without libgmp: builtin pow only
-    for libgmp in (arith._libgmp, lambda: None):
+    # as the package runs on two CPUs, then as on a host without libgmp (builtin
+    # pow only), then on one CPU (no chains run concurrently)
+    for libgmp, cpus in ((arith._libgmp, 2), (lambda: None, 2), (arith._libgmp, 1)):
         monkeypatch.setattr(arith, "_libgmp", libgmp)
+        monkeypatch.setattr(primality, "_cpu_count", lambda: cpus)
         code, out, _ = run_cli(capsys, *command.split())
         assert code == 0
         assert out == GOLDEN[command]

@@ -1,8 +1,10 @@
 import math
+import os
 import random
 
 import pytest
 
+from primegen import arith
 from primegen.arith import mod_pow
 from primegen.errors import RefusalError
 from primegen import primality
@@ -22,6 +24,8 @@ from primegen.primality import (
     trial_division,
 )
 from primegen.sampling import make_stream
+
+GMP_LOADS = arith._libgmp() is not None
 
 
 class TestVerdictContract:
@@ -201,27 +205,7 @@ class TestMultiRoundDrivers:
             assert miller_rabin(7, 5, make_stream(seed)).is_probable_prime
 
     def test_drivers_match_a_pow_reference_exhaustive(self, liar_oracle):
-        Verdict = primality.TestVerdict  # not imported by name: pytest would collect a Test* class
-
-        # The reference runs each test on its own fresh stream of the same
-        # seed and judges every base with builtin pow, not _chain.
-        def reference(n, rounds, seed, test):
-            rng = make_stream(seed)
-            for done in range(rounds):
-                a = rng.randint(2, n - 2)
-                if not liar_oracle(n, a)[test]:
-                    g = math.gcd(a, n)
-                    return Verdict(witness=a, factor=g if g > 1 else None, rounds_survived=done)
-            return Verdict(rounds_survived=rounds)
-
-        drivers = {"fermat": fermat_test, "euler": euler_test, "miller_rabin": miller_rabin}
-        for n in range(5, 3001, 2):
-            for rounds in (1, 3, 10):
-                for seed in (1, 2, 7):
-                    expected = {name: reference(n, rounds, seed, test) for test, name in enumerate(drivers)}
-                    assert compare_tests(n, rounds, make_stream(seed)) == expected, (n, rounds, seed)
-                    for name, driver in drivers.items():
-                        assert driver(n, rounds, make_stream(seed)) == expected[name], (name, n, rounds, seed)
+        _assert_drivers_match_a_pow_reference(liar_oracle, range(5, 3001, 2), (1, 3, 10), (1, 2, 7))
 
     def test_domain_errors(self):
         rng = random.Random(0)
@@ -230,6 +214,92 @@ class TestMultiRoundDrivers:
                 miller_rabin(bad_n, 5, rng)
         with pytest.raises(ValueError):
             miller_rabin(561, 0, rng)
+
+
+DRIVERS = {"fermat": fermat_test, "euler": euler_test, "miller_rabin": miller_rabin}
+
+
+def _assert_drivers_match_a_pow_reference(liar_oracle, ns, round_counts, seeds):
+    Verdict = primality.TestVerdict  # not imported by name: pytest would collect a Test* class
+
+    # The reference runs each test on its own fresh stream of the same
+    # seed and judges every base with builtin pow, not _chain.
+    def reference(n, rounds, seed, test):
+        rng = make_stream(seed)
+        for done in range(rounds):
+            a = rng.randint(2, n - 2)
+            if not liar_oracle(n, a)[test]:
+                g = math.gcd(a, n)
+                return Verdict(witness=a, factor=g if g > 1 else None, rounds_survived=done)
+        return Verdict(rounds_survived=rounds)
+
+    for n in ns:
+        for rounds in round_counts:
+            for seed in seeds:
+                expected = {name: reference(n, rounds, seed, test) for test, name in enumerate(DRIVERS)}
+                assert compare_tests(n, rounds, make_stream(seed)) == expected, (n, rounds, seed)
+                for name, driver in DRIVERS.items():
+                    assert driver(n, rounds, make_stream(seed)) == expected[name], (name, n, rounds, seed)
+
+
+M2203 = 2**2203 - 1  # a Mersenne prime above PARALLEL_MIN_BITS
+M1279 = 2**1279 - 1  # a Mersenne prime below it
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Records each call of primality._pool; the process may run on two CPUs."""
+    calls = []
+    pool = primality._pool
+
+    def counted():
+        calls.append(1)
+        return pool()
+
+    monkeypatch.setattr(primality, "_pool", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+@pytest.mark.skipif(not GMP_LOADS, reason="the concurrent path needs libgmp, which does not load on this host")
+class TestConcurrentRounds:
+    def test_drivers_match_a_pow_reference(self, monkeypatch, pool_calls, liar_oracle):
+        monkeypatch.setattr(primality, "PARALLEL_MIN_BITS", 0)  # every n takes the concurrent path
+        _assert_drivers_match_a_pow_reference(liar_oracle, range(5, 3001, 2), (10,), (1,))
+        assert pool_calls
+
+    def test_witness_among_the_concurrent_bases(self, monkeypatch, pool_calls):
+        # 2047 = 23 * 89 is a strong pseudoprime to base 2, and 3 is a witness
+        monkeypatch.setattr(primality, "PARALLEL_MIN_BITS", 0)
+        draws = []
+
+        class Bases:
+            def randint(self, lo, hi):
+                draws.append(lo)
+                return 2 if len(draws) == 1 else 3
+
+        assert miller_rabin(2047, 10, Bases()) == primality.TestVerdict(witness=3, rounds_survived=1)
+        assert pool_calls and len(draws) == 10  # the nine bases after the first are drawn before any is judged
+
+    def test_only_a_large_n_still_open_after_its_first_base_reaches_the_pool(self, pool_calls):
+        assert miller_rabin(M1279, 10, make_stream(1)).rounds_survived == 10
+        composite = miller_rabin(2**2048 + 1, 10, make_stream(1))
+        assert composite.is_composite and composite.rounds_survived == 0  # a witness at its first base
+        assert not pool_calls
+        assert miller_rabin(M2203, 10, make_stream(1)).rounds_survived == 10
+        assert pool_calls
+
+    @pytest.mark.parametrize("host", ["without libgmp", "one CPU"])
+    def test_no_pool_where_threads_cannot_overlap(self, monkeypatch, host):
+        def refuse():
+            raise AssertionError("no pool may be created")
+
+        monkeypatch.setattr(primality, "_pool", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one CPU" else {0, 1}, raising=False)
+        if host == "without libgmp":
+            monkeypatch.setattr(arith, "_libgmp", lambda: None)  # builtin pow holds the GIL
+        survived = primality.TestVerdict(rounds_survived=10)
+        assert compare_tests(M2203, 10, make_stream(1)) == dict.fromkeys(DRIVERS, survived)
 
 
 class TestTrialDivision:
