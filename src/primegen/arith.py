@@ -9,8 +9,8 @@ call, so every function is safe to call from any number of threads.
 
 Each call through a ctypes CDLL releases the GIL until it returns, so
 an mpz_powm on one thread runs alongside the other threads' modexps;
-builtin pow holds the GIL throughout. The round loop in primality
-relies on this to run the chains of a large n on several CPUs at once.
+builtin pow holds the GIL throughout. The round loop in primality relies
+on this only to compute the chains of a large n on several CPUs at once.
 """
 
 from __future__ import annotations

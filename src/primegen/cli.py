@@ -240,7 +240,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
     if args.format == "json":
         print(json.dumps({"policy": args.policy, "mode": args.mode, "rows": rows}, indent=2))
     else:
-        print(render_rows(list(rows[0]), [row.values() for row in rows], args.format))
+        print("".join(render_rows(list(rows[0]), [row.values() for row in rows], args.format)))
     above_one = [str(row["digits"]) for row in rows if float(row["filtered_prob"]) >= 1]
     if above_one:
         print(f"note: filtered_prob >= 1 at {', '.join(above_one)} digits;"
@@ -270,7 +270,7 @@ def _cmd_confidence(args: argparse.Namespace) -> None:
     if args.format == "json":
         print(json.dumps(fields, indent=2))
     elif args.format == "csv":
-        print(render_rows(list(fields), [fields.values()], "csv"))
+        print("".join(render_rows(list(fields), [fields.values()], "csv")))
     else:
         fields["lower_bound"] = _bound_text(report.lower_bound)
         print(render_fields(fields.items()))
@@ -283,7 +283,8 @@ def _bound_text(bound: float) -> str:
 def _cmd_census(args: argparse.Namespace) -> None:
     header = [f.name for f in dataclasses.fields(pseudolab.LiarCensus)]
     rows = map(operator.attrgetter(*header), pseudolab.composite_censuses(args.start, args.end))
-    print(render_rows(header, rows, args.format))
+    sys.stdout.writelines(render_rows(header, rows, args.format))  # each piece as it comes
+    print()
 
 
 def _print_lines(values) -> None:

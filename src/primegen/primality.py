@@ -24,12 +24,12 @@ from .errors import RefusalError
 # Smallest n, in bits, whose bases after the first have their chains computed
 # concurrently. mpz_powm releases the GIL, but each modexp makes 13 foreign
 # calls and the threads hand the GIL back and forth at each, which costs more
-# than the overlap gains on small moduli. Ten chains with exponent n - 1, all
-# sequential against the first alone and nine on two threads (2 CPUs, GMP
-# 6.2.1, Python 3.11, median of 25 runs): 512 bits 1.6 / 2.8 ms, 1024 bits
-# 9.9 / 15.2 ms, 1280 bits 16-18 / 14-20 ms (either side wins), 1536 bits
-# 29.1 / 23.5 ms, 2048 bits 60.2 / 40.1 ms.
-PARALLEL_MIN_BITS = 1536
+# than the overlap gains on small moduli. compare_tests(p, 10) on a prime p, 10
+# seeds per side, pool against one chain at a time, in alternating pairs (2 CPUs,
+# x86-64, GMP 6.2.1, Python 3.11); pool wins at 512/768/1024/1152/1280/1536 bits:
+# 0/20 (x0.74), 8/20 (x0.96), 26/40 (x1.14), 45/50 (x1.34), 67/70 (x1.24-1.44),
+# 49/50 (x1.39-1.50). The least of 768/1024/1280/1536 bits winning 9 in 10; 1152 just did.
+PARALLEL_MIN_BITS = 1280
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -66,10 +66,10 @@ class MRTranscript:
     chain: tuple[int, ...]
 
 
-def _check_round_args(n: int, a: int) -> None:
+def _check_round_args(n: int, a: int | None = None) -> None:
     if n < 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 5, got {n}")
-    if not 2 <= a <= n - 2:
+    if a is not None and not 2 <= a <= n - 2:
         raise ValueError(f"base must lie in [2, {n - 2}], got {a}")
 
 
@@ -155,36 +155,26 @@ def _base_chains(n: int, rounds: int, rng: random.Random):
     """(base, chain) for up to `rounds` uniform bases in [2, n-2] from `rng`.
 
     The first chain is computed alone; a caller asks for the next only
-    while a test is still open. Then, for n of at least PARALLEL_MIN_BITS
-    bits with GMP bound (its mpz_powm runs without the GIL; builtin pow
-    holds it) and more than one CPU, the remaining bases are drawn at once
-    and their chains computed on _pool(), read back in base order.
-    Otherwise each base is drawn and judged in turn.
+    while a test is still open. Then the remaining bases are drawn at once
+    and their chains read back in base order. For n of at least
+    PARALLEL_MIN_BITS bits with GMP bound (its mpz_powm runs without the
+    GIL; builtin pow holds it) and more than one CPU, those chains are
+    computed on _pool(); otherwise each is computed when it is asked for.
     """
     a = rng.randint(2, n - 2)
     yield a, _chain(n, a)
-    if rounds > 1 and n.bit_length() >= PARALLEL_MIN_BITS and arith._libgmp() is not None and _cpu_count() > 1:
-        bases = [rng.randint(2, n - 2) for _ in range(rounds - 1)]
-        yield from zip(bases, _pool().map(_chain, [n] * len(bases), bases))
-        return
-    for _ in range(rounds - 1):
-        a = rng.randint(2, n - 2)
-        yield a, _chain(n, a)
+    bases = [rng.randint(2, n - 2) for _ in range(rounds - 1)]
+    concurrent = bases and n.bit_length() >= PARALLEL_MIN_BITS and arith._libgmp() is not None and _cpu_count() > 1
+    yield from zip(bases, (_pool().map if concurrent else map)(_chain, [n] * len(bases), bases))
 
 
 def _multi_round(tests, n: int, rounds: int, rng: random.Random) -> dict[str, TestVerdict]:
     """Verdicts of the named ROUND_TESTS on n over up to `rounds` uniform bases
     in [2, n-2] from `rng`. One chain per base is read by each test still
     open; a failing test's verdict has rounds_survived = the bases it
-    passed, and draws stop once every test has failed.
-
-    From PARALLEL_MIN_BITS bits on, with GMP and several CPUs, the bases
-    after the first are drawn before any of them is judged and their chains
-    run concurrently (_base_chains); the verdicts are the same, only the
-    state `rng` is left in differs.
+    passed, and no further chain is read once every test has failed.
     """
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 5, got {n}")
+    _check_round_args(n)
     if rounds < 1:
         raise ValueError("round count must be >= 1")
     verdicts: dict[str, TestVerdict | None] = dict.fromkeys(tests)
@@ -202,9 +192,7 @@ def miller_rabin(n: int, rounds: int, rng: random.Random) -> TestVerdict:
     """Up to `rounds` strong rounds with independent uniform bases in [2, n-2].
 
     Stops at the first witness. A surviving composite slips through with
-    probability below 4^-rounds. For n of at least PARALLEL_MIN_BITS bits,
-    once the first base passes, the remaining bases are drawn before any
-    is judged, and their rounds run concurrently.
+    probability below 4^-rounds.
     """
     return _multi_round(("miller_rabin",), n, rounds, rng)["miller_rabin"]
 

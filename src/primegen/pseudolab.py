@@ -21,8 +21,8 @@ from .primality import factor_table, trial_division
 FERMAT_SCAN_CAP = 10**7
 CARMICHAEL_CAP = 10**6
 CENSUS_CAP = 10**6
-# Odd n one census sweep may cover: ~0.7 s and ~75 MB peak RSS as csv at
-# the top of the range (Python 3.11).
+# Odd n one census sweep may cover: ~0.7 s as csv at the top of the range
+# (Python 3.11); rows are written as they come, so memory does not grow with it.
 CENSUS_ROW_CAP = 10**5
 ABSOLUTE_EULER_CAP = 10**6
 SQRT_UNITY_CAP = 10**9
@@ -96,12 +96,10 @@ def census_range(start: int, end: int) -> range:
 
 
 def composite_censuses(start: int, end: int) -> Iterator[LiarCensus]:
-    """The census of each odd composite in census_range(start, end), factored from one factor_table(end)."""
+    """The census of each odd composite in census_range(start, end), checked at once, from one factor_table(end)."""
     odd = census_range(start, end)
     table = factor_table(max(end, 0))
-    for n in odd:
-        if table[n]:
-            yield liar_census(n, _factorize(n, table))
+    return (liar_census(n, _factorize(n, table)) for n in odd if table[n])
 
 
 def _order(a: int, p: int, d: int, table: array) -> int:
@@ -128,22 +126,21 @@ def _keep_congruent(flags: bytearray, p: int, e: int) -> None:
         flags[p // 2 :: step] = kept
 
 
-def _congruence_sieve(limit: int, period: Callable[[int], int], *, squarefree: bool = False,
-                      root_bounded: bool = False) -> Iterator[int]:
+def _congruence_sieve(limit: int, period: Callable[[int], int], *, korselt: bool = False) -> Iterator[int]:
     """Odd composites n in [9, limit], ascending, minus those that some
     prime p rules out.
 
     A member n divisible by the odd prime p has n = 1 (mod e) for
     e = period(p), a divisor of p - 1, so n = p (mod p lcm(2, e)) by the
     Chinese remainder theorem; e = 0 says p divides no member. With
-    `squarefree` no member is divisible by p^2, and with `root_bounded`
-    no member has a prime factor above its square root.
+    `korselt` no member is divisible by p^2 or has a prime factor above
+    its square root, as for a Carmichael number.
 
     The flags cover odd n only and all per-n work is slice assignment.
     Each prime p <= r = isqrt(limit) keeps its congruent odd multiples.
     A prime P > r divides n only as n = k P with odd k <= limit // P <= r,
     and no second prime above r divides n. The P with period 0 (all of
-    them when `root_bounded`) form a mask, and each odd k clears k P for
+    them when `korselt`) form a mask, and each odd k clears k P for
     every masked P at once: one AND-NOT of the mask with the odd multiples
     of k, as integers. The other P keep their congruent multiples one at
     a time. The sieve only removes numbers; the caller checks each one
@@ -163,11 +160,11 @@ def _congruence_sieve(limit: int, period: Callable[[int], int], *, squarefree: b
         if flags[i]:
             p = 2 * i + 1
             _keep_congruent(members, p, period(p))
-            if squarefree:
+            if korselt:
                 _clear(members, p * p // 2, p * p)
     mask = flags  # the primes above r
     mask[:small] = bytes(small)
-    if not root_bounded:
+    if not korselt:
         top = (limit // 3 + 1) // 2  # primes with an odd multiple 3P <= limit
         for i in compress(range(small, top), mask[small:top]):
             p = 2 * i + 1
@@ -226,7 +223,7 @@ def carmichael_numbers(limit: int) -> list[int]:
         raise RefusalError(f"scan capped at {CARMICHAEL_CAP}, got {limit}")
     if limit < 9:
         return []
-    survivors = _congruence_sieve(limit, lambda p: p - 1, squarefree=True, root_bounded=True)
+    survivors = _congruence_sieve(limit, lambda p: p - 1, korselt=True)
     return [n for n in survivors if _korselt(_factorize(n), n - 1)]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -296,6 +297,29 @@ class TestLabCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload == [{"n": 9, "total_bases": 8, "fermat_liars": 2, "euler_liars": 2, "strong_liars": 2}]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_census_bytes_match_the_whole_list_rendered_at_once(self, capsys, fmt):
+        # ~2000 rows, so json spans more than one chunk of experiment.JSON_CHUNK_ROWS
+        code, out, _ = run_cli(capsys, "lab", "census", "--start", "9", "--end", "5000", "--format", fmt)
+        rows = [dataclasses.asdict(census) for census in pseudolab.composite_censuses(9, 5000)]
+        assert len(rows) > experiment.JSON_CHUNK_ROWS
+        if fmt == "json":
+            expected = json.dumps(rows, indent=2)
+        else:
+            expected = "\n".join([",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows)])
+        assert code == 0 and out == expected + "\n"
+
+    def test_census_rows_written_as_they_come(self, capsys, monkeypatch):
+        def censuses(start, end):
+            yield from map(pseudolab.liar_census, (9, 15, 21))
+            raise RuntimeError("the fourth census fails")
+
+        monkeypatch.setattr(pseudolab, "composite_censuses", censuses)
+        with pytest.raises(RuntimeError):
+            main(["lab", "census", "--end", "100"])
+        assert capsys.readouterr().out == (
+            "n,total_bases,fermat_liars,euler_liars,strong_liars\n9,8,2,2,2\n15,14,4,2,2\n21,20,4,4,2")
 
     def test_carmichael_listing(self, capsys):
         code, out, _ = run_cli(capsys, "lab", "carmichael", "--limit", "3000")

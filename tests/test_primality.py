@@ -246,6 +246,13 @@ M2203 = 2**2203 - 1  # a Mersenne prime above PARALLEL_MIN_BITS
 M1279 = 2**1279 - 1  # a Mersenne prime below it
 
 
+def _as_host(monkeypatch, host):
+    """Make the process see one CPU, or two CPUs with libgmp bound or not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one CPU" else {0, 1}, raising=False)
+    if host == "without libgmp":
+        monkeypatch.setattr(arith, "_libgmp", lambda: None)  # builtin pow holds the GIL
+
+
 @pytest.fixture
 def pool_calls(monkeypatch):
     """Records each call of primality._pool; the process may run on two CPUs."""
@@ -268,10 +275,15 @@ class TestConcurrentRounds:
         _assert_drivers_match_a_pow_reference(liar_oracle, range(5, 3001, 2), (10,), (1,))
         assert pool_calls
 
-    def test_witness_among_the_concurrent_bases(self, monkeypatch, pool_calls):
+    @pytest.mark.parametrize("host", ["two CPUs", "one CPU", "without libgmp", "below the cutoff"])
+    def test_witness_among_the_concurrent_bases(self, monkeypatch, pool_calls, host):
         # 2047 = 23 * 89 is a strong pseudoprime to base 2, and 3 is a witness
-        monkeypatch.setattr(primality, "PARALLEL_MIN_BITS", 0)
-        draws = []
+        if host != "below the cutoff":
+            monkeypatch.setattr(primality, "PARALLEL_MIN_BITS", 0)
+        _as_host(monkeypatch, host)
+        draws, chains = [], []
+        chain = primality._chain
+        monkeypatch.setattr(primality, "_chain", lambda n, a: chains.append(a) or chain(n, a))
 
         class Bases:
             def randint(self, lo, hi):
@@ -279,7 +291,18 @@ class TestConcurrentRounds:
                 return 2 if len(draws) == 1 else 3
 
         assert miller_rabin(2047, 10, Bases()) == primality.TestVerdict(witness=3, rounds_survived=1)
-        assert pool_calls and len(draws) == 10  # the nine bases after the first are drawn before any is judged
+        assert len(draws) == 10  # the nine bases after the first are drawn before any is judged
+        if host == "two CPUs":
+            assert pool_calls
+        else:
+            assert not pool_calls and chains == [2, 3]  # no chain is built past the witness
+        # make_stream(2)'s first base for 2047, 1959, is a strong liar: the stream
+        # is left where ten draws leave it, whether or not the pool ran
+        rng, reference = make_stream(2), make_stream(2)
+        assert miller_rabin(2047, 10, rng).rounds_survived == 1
+        for _ in range(10):
+            reference.randint(2, 2045)
+        assert rng.getrandbits(64) == reference.getrandbits(64)
 
     def test_only_a_large_n_still_open_after_its_first_base_reaches_the_pool(self, pool_calls):
         assert miller_rabin(M1279, 10, make_stream(1)).rounds_survived == 10
@@ -295,9 +318,7 @@ class TestConcurrentRounds:
             raise AssertionError("no pool may be created")
 
         monkeypatch.setattr(primality, "_pool", refuse)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one CPU" else {0, 1}, raising=False)
-        if host == "without libgmp":
-            monkeypatch.setattr(arith, "_libgmp", lambda: None)  # builtin pow holds the GIL
+        _as_host(monkeypatch, host)
         survived = primality.TestVerdict(rounds_survived=10)
         assert compare_tests(M2203, 10, make_stream(1)) == dict.fromkeys(DRIVERS, survived)
 

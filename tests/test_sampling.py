@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from statistics import NormalDist
 
 import pytest
 
@@ -201,3 +203,41 @@ class TestMakeStream:
             a = make_stream(seed, index).getrandbits(64)
             b = make_stream(seed ^ 1, index ^ 1).getrandbits(64)
             assert a != b
+
+    def test_seeded_streams_look_independent(self):
+        # Sample and threshold were fixed before the first run; never re-seed to pass.
+        # Seeds 0-199 x indices 0-49 at 20 digits; each chi-square statistic is
+        # against the uniform distribution, and fails at a p-value below 1e-6.
+        def draw(seed, index):
+            rng = make_stream(seed, index)
+            n = random_candidate(20, BOTH, rng).n
+            return n, rng.randint(2, n - 2)  # the candidate and the first base miller_rabin draws for it
+
+        grid = {(s, i): draw(s, i) for s in range(200) for i in range(50)}
+
+        def candidate(key):  # from the grid, or drawn for a partner seed outside it
+            return (grid[key] if key in grid else draw(*key))[0]
+
+        samples = {f"candidate mod {m}": ([n % m for n, _ in grid.values()], m) for m in (7, 11, 13)}
+        samples["first base mod 7"] = ([a % 7 for _, a in grid.values()], 7)
+        neighbours = {
+            "seed s, s + 1": [((s, i), (s + 1, i)) for s, i in grid if s + 1 < 200],
+            "index i, i + 1": [((s, i), (s, i + 1)) for s, i in grid if i + 1 < 50],
+        }
+        for bit in (0, 13, 63):  # each grid seed with that bit clear, against the seed with it set
+            neighbours[f"seed bit {bit}"] = [((s, i), (s | 1 << bit, i)) for s, i in grid if not s >> bit & 1]
+        for name, pairs in neighbours.items():
+            samples[f"joint mod 7, {name}"] = ([7 * (candidate(a) % 7) + candidate(b) % 7 for a, b in pairs], 49)
+        p_values = {name: _uniform_p_value(values, cells) for name, (values, cells) in samples.items()}
+        assert min(p_values.values()) >= 1e-6, p_values
+
+
+def _uniform_p_value(values: list[int], cells: int) -> float:
+    """Upper-tail p-value of the chi-square statistic of `values` in range(cells)
+    against the uniform distribution, by the Wilson-Hilferty cube-root normal
+    approximation with cells - 1 degrees of freedom."""
+    expected, df = len(values) / cells, cells - 1
+    counts = Counter(values)
+    statistic = sum((counts[c] - expected) ** 2 for c in range(cells)) / expected
+    z = ((statistic / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    return 1 - NormalDist().cdf(z)
