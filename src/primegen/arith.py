@@ -81,9 +81,8 @@ def _gmp_pow(lib: ctypes.CDLL, base: int, exponent: int, modulus: int) -> int:
             lib.__gmpz_import(z, len(data), -1, 1, 0, 0, data)
         lib.__gmpz_powm(result, *operands)
         out = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)  # the result is below modulus
-        count = ctypes.c_size_t()
-        lib.__gmpz_export(out, ctypes.byref(count), -1, 1, 0, 0, result)
-        return int.from_bytes(out.raw[: count.value], "little")
+        lib.__gmpz_export(out, None, -1, 1, 0, 0, result)  # a NULL countp discards the byte count
+        return int.from_bytes(out.raw, "little")  # the unwritten high bytes stay zero
     finally:
         for z in mpz:
             lib.__gmpz_clear(z)

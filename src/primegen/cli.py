@@ -35,11 +35,12 @@ EXIT_REFUSED = 3
 # default decimal context (Emax 999999).
 DENSITY_DIGIT_CAP = 4300
 
-# Most rounds `test` runs per test. A probable prime's error bound is
-# 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about 0.35 s
-# with GMP on 2 CPUs (0.55 s on one) and about 4.4 s with builtin pow
-# (Python 3.11), and the cost grows linearly with the round count.
-TEST_ROUND_CAP = 100
+# Most rounds `test` and `experiment` run per test. A probable prime's error
+# bound is 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about
+# 0.35 s with GMP on 2 CPUs (0.55 s on one) and about 4.4 s with builtin pow
+# (Python 3.11), and the cost grows linearly with the round count. Every base
+# of a probable prime is drawn before its rounds run, so memory grows with it too.
+ROUND_CAP = 100
 
 POLICIES = {p.label: p for p in FilterPolicy}
 
@@ -158,8 +159,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 
 def _cmd_test(args: argparse.Namespace) -> None:
-    if args.rounds > TEST_ROUND_CAP:
-        raise RefusalError(f"test capped at {TEST_ROUND_CAP} rounds, got {args.rounds}")
+    _check_rounds(args)
     n = args.n
     try:
         exact = trial_division(n)
@@ -182,7 +182,16 @@ def _cmd_test(args: argparse.Namespace) -> None:
         print(line)
 
 
+def _check_rounds(args: argparse.Namespace) -> None:
+    """Reject a round count below 1 (usage) or above ROUND_CAP (refusal) before any output or draw."""
+    if args.rounds < 1:
+        raise ValueError("round count must be >= 1")
+    if args.rounds > ROUND_CAP:
+        raise RefusalError(f"{args.command} capped at {ROUND_CAP} rounds, got {args.rounds}")
+
+
 def _cmd_experiment(args: argparse.Namespace) -> None:
+    _check_rounds(args)
     config = ExperimentConfig(
         digits=args.digits,
         count=args.count,
@@ -192,11 +201,9 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         mode=Mode(args.mode),
     )
     records, summary = run_experiment(config)
+    text = render_report(records, args.format, summary)
     if args.format == "csv":
-        text = render_report(records, "csv")
         print(render_fields(summary.fields()[-3:]), file=sys.stderr)
-    else:
-        text = render_report(records, args.format, summary)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -18,6 +18,7 @@ import math
 from collections.abc import Iterator
 from decimal import Decimal
 from enum import Enum
+from itertools import pairwise
 
 from .sampling import FilterPolicy
 
@@ -48,9 +49,7 @@ def digit_prime_count(k: int) -> Decimal:
 
     Algebraically equal to 10^(k-1) (9k-10) / (ln 10 k(k-1)).
     """
-    if k < 2:
-        raise ValueError("digit count must be >= 2")
-    return _decade(k)[0] - _decade(k - 1)[0]
+    return next(digit_prime_counts(k, k))[0]
 
 
 def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
@@ -74,9 +73,7 @@ def digit_prime_count_bounds(k: int) -> tuple[Decimal, Decimal]:
     """
     if k < 6:
         raise ValueError("digit count must be >= 6 for a valid bracket")
-    _, top_low, top_up = _decade(k)
-    _, bot_low, bot_up = _decade(k - 1)
-    return top_low - bot_up, top_up - bot_low
+    return next(digit_prime_counts(k, k))[1:]
 
 
 def _decade(j: int) -> tuple[Decimal, Decimal, Decimal]:
@@ -97,11 +94,8 @@ def digit_prime_counts(lo: int, hi: int) -> Iterator[tuple[Decimal, Decimal, Dec
     """
     if lo < 2:
         raise ValueError("digit count must be >= 2")
-    bot_pnt, bot_low, bot_up = _decade(lo - 1)
-    for k in range(lo, hi + 1):
-        top_pnt, top_low, top_up = _decade(k)
+    for (bot_pnt, bot_low, bot_up), (top_pnt, top_low, top_up) in pairwise(map(_decade, range(lo - 1, hi + 1))):
         yield top_pnt - bot_pnt, top_low - bot_up, top_up - bot_low
-        bot_pnt, bot_low, bot_up = top_pnt, top_low, top_up
 
 
 def base_prime_prob(k: int) -> float:

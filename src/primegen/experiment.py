@@ -149,10 +149,6 @@ def generate_prime(
     count stay those of the filtered pool: the screen only removes
     composites, so the reported bound stays valid and is conservative.
     """
-    if digits < 2:
-        raise ValueError("digits must be >= 2")
-    if not 0.0 < target_confidence < 1.0:
-        raise ValueError("target confidence must be in (0, 1)")
     prior = filtered_prime_prob(digits, policy, mode)
     rounds = rounds_for_confidence(prior, target_confidence)
     for attempt in range(MAX_ATTEMPTS):
@@ -207,8 +203,8 @@ def render_report(records: Iterable[ExperimentRecord], output_format: str = "tab
     """Render records; numbers always in full decimal, never scientific.
 
     table: one "<number> <PRIME|COMPOSITE>" line per record (plus a
-    trailing summary block when given). csv: CSV_HEADER, empty
-    confidence field for composites. json: records array plus summary.
+    trailing summary block when given). csv: CSV_HEADER, empty confidence
+    field for composites, no summary. json: records array plus summary.
     """
     values = [(r.candidate.n, r.label, r.rounds_used, r.confidence_lower_bound) for r in records]
     if output_format == "table":

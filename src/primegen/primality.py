@@ -223,10 +223,6 @@ class ExactVerdict:
     outcome: ExactOutcome
     smallest_factor: int | None = None
 
-    @property
-    def is_prime(self) -> bool:
-        return self.outcome is ExactOutcome.PRIME
-
 
 ORACLE_BOUND = 10**12
 

@@ -12,7 +12,7 @@ import math
 from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, product
 
 from .arith import decompose_pow2
 from .errors import RefusalError
@@ -254,11 +254,6 @@ def _factorize(n: int, table: array | None = None) -> dict[int, int]:
     return factors
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    # moduli are coprime prime powers here
-    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
-
-
 def _unity_roots_prime_power(p: int, e: int) -> list[int]:
     q = p**e
     if p != 2:
@@ -282,10 +277,9 @@ def sqrt_of_unity(n: int) -> list[int]:
         raise ValueError("modulus must be >= 2")
     if n > SQRT_UNITY_CAP:
         raise RefusalError(f"capped at {SQRT_UNITY_CAP}, got {n}")
-    roots = [0]
-    modulus = 1
+    parts = []
     for p, e in _factorize(n).items():
-        q = p**e
-        roots = [_crt_pair(r, modulus, pr, q) for r in roots for pr in _unity_roots_prime_power(p, e)]
-        modulus *= q
-    return sorted(roots)
+        rest = n // p**e
+        coefficient = rest * pow(rest, -1, p**e)  # 1 mod p^e, 0 mod every other part
+        parts.append([r * coefficient for r in _unity_roots_prime_power(p, e)])
+    return sorted(sum(combination) % n for combination in product(*parts))

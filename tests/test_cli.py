@@ -18,6 +18,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a chain is built or a candidate drawn."""
+    def fail(*args):
+        raise AssertionError("chain built or candidate drawn before the check")
+
+    monkeypatch.setattr(primality, "_chain", fail)
+    monkeypatch.setattr(experiment, "random_candidate", fail)
+
+
 class TestDensityCommand:
     def test_csv_row_is_parseable_and_consistent(self, capsys):
         code, out, _ = run_cli(
@@ -163,20 +173,22 @@ class TestTestCommand:
         assert "trial_division" not in out
         assert "skipped" in err
 
-    def test_round_count_above_the_cap_refused_before_any_chain(self, capsys, monkeypatch):
-        def chain(n, a):
-            raise AssertionError("chain built before the refusal")
-
-        monkeypatch.setattr(primality, "_chain", chain)
-        rounds = str(cli.TEST_ROUND_CAP + 1)
+    def test_round_count_above_the_cap_refused_before_any_chain(self, capsys, no_work):
+        rounds = str(cli.ROUND_CAP + 1)
         code, out, err = run_cli(capsys, "test", "170141183460469231731687303715884105727", "--rounds", rounds)
         assert code == 3
         assert out == "" and err.startswith("refused: ")
 
+    def test_zero_rounds_is_usage_error_before_any_output(self, capsys, no_work):
+        # 9 is in the exact oracle's range: a check after the oracle would follow its verdict line
+        code, out, err = run_cli(capsys, "test", "9", "--rounds", "0")
+        assert code == 2
+        assert out == "" and err == "error: round count must be >= 1\n"
+
     def test_round_count_at_the_cap_runs(self, capsys):
-        code, out, _ = run_cli(capsys, "test", "97", "--rounds", str(cli.TEST_ROUND_CAP), "--seed", "0")
+        code, out, _ = run_cli(capsys, "test", "97", "--rounds", str(cli.ROUND_CAP), "--seed", "0")
         assert code == 0
-        assert out.count(f"[m={cli.TEST_ROUND_CAP}]: PROBABLE_PRIME") == 3
+        assert out.count(f"[m={cli.ROUND_CAP}]: PROBABLE_PRIME") == 3
 
 
 class TestExperimentCommand:
@@ -260,6 +272,11 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--digits", "1", "--count", "5", "--rounds", "5", "--seed", "0")
         assert code == 2
         assert "error" in err
+
+    def test_round_count_above_the_cap_refused_before_any_draw(self, capsys, no_work):
+        code, out, err = run_cli(capsys, "experiment", "--count", "1", "--rounds", str(cli.ROUND_CAP + 1))
+        assert code == 3
+        assert out == "" and err.startswith("refused: ")
 
 
 class TestGenerateCommand:

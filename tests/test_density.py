@@ -114,8 +114,8 @@ class TestDigitPrimeCountBounds:
 
 class TestDigitPrimeCounts:
     def test_rows_equal_the_definitions(self):
-        # exact Decimal equality: the table shares decades between rows, the
-        # single-row functions do not, and both must print the same bytes
+        # exact Decimal equality: the table and the single-row functions, which
+        # read one row of it, must equal the differences of the definitions
         rows = list(digit_prime_counts(6, 40))
         assert len(rows) == 35
         for k, (count, lower, upper) in zip(range(6, 41), rows):

@@ -160,11 +160,16 @@ class TestGeneratePrime:
         with pytest.raises(RefusalError):
             generate_prime(6, 0.99, seed=3)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("candidate drawn before the arguments were checked")
+
+        monkeypatch.setattr(experiment, "random_candidate", draw)
         with pytest.raises(ValueError):
             generate_prime(1, 0.9, seed=0)
-        with pytest.raises(ValueError):
-            generate_prime(6, 1.0, seed=0)
+        for target in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                generate_prime(6, target, seed=0)
 
 
 def _fake_records():

@@ -286,6 +286,13 @@ class TestSqrtOfUnity:
         assert len(roots) == 8
         assert all(x * x % 105 == 1 for x in roots)
 
+    def test_nine_prime_power_parts_give_1024_roots(self):
+        n = 2**3 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23  # 892371480; the 2^3 part has four roots
+        roots = sqrt_of_unity(n)
+        assert len(roots) == 1024
+        assert all(a < b for a, b in zip(roots, roots[1:]))
+        assert all(x * x % n == 1 for x in roots)
+
     def test_count_is_two_to_the_omega_for_odd_squarefree(self):
         for n in range(3, 10**4, 2):
             factors = _distinct_prime_factors(n)
