@@ -33,20 +33,14 @@ JSON_CHUNK_ROWS = 1000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Plain data: run_experiment checks it before its first draw."""
+
     digits: int
     count: int
     rounds: int
     seed: int
     policy: FilterPolicy = FilterPolicy.BOTH
     mode: Mode = Mode.CORRECTED
-
-    def __post_init__(self) -> None:
-        if self.digits < 2:
-            raise ValueError("digits must be >= 2")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     Candidate i draws from its own stream, make_stream(seed, i), first
     for the candidate and then for the test bases, so results do not
     depend on execution order. An even candidate is composite by its
-    factor 2 and draws no base.
+    factor 2 and draws no base. Digits below 2, count below 1 and rounds
+    below 1 raise ValueError, in that order, before the first draw.
     """
     prior = filtered_prime_prob(config.digits, config.policy, config.mode)
+    if config.count < 1:
+        raise ValueError("count must be >= 1")
     bound = bayes_confidence(prior, config.rounds).lower_bound
     records = []
     for i in range(config.count):

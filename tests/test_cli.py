@@ -268,10 +268,10 @@ class TestExperimentCommand:
         assert code == 0
         assert any(int(line.split()[0]) % 2 == 0 for line in out.splitlines()[:5])
 
-    def test_usage_error_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "experiment", "--digits", "1", "--count", "5", "--rounds", "5", "--seed", "0")
+    def test_usage_error_exit_code(self, capsys, no_work):
+        code, out, err = run_cli(capsys, "experiment", "--digits", "1", "--count", "5", "--rounds", "5", "--seed", "0")
         assert code == 2
-        assert "error" in err
+        assert out == "" and err == "error: digit count must be >= 2\n"
 
     def test_round_count_above_the_cap_refused_before_any_draw(self, capsys, no_work):
         code, out, err = run_cli(capsys, "experiment", "--count", "1", "--rounds", str(cli.ROUND_CAP + 1))

@@ -83,10 +83,15 @@ class TestRunExperiment:
             exact = trial_division(r.candidate.n).outcome is ExactOutcome.PRIME
             assert r.verdict.is_probable_prime == exact
 
-    def test_config_validation(self):
+    def test_config_validation(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("candidate drawn before the config was checked")
+
+        monkeypatch.setattr(experiment, "random_candidate", draw)
         for kwargs in (dict(digits=1), dict(count=0), dict(rounds=0)):
+            config = small_config(**kwargs)  # plain data: run_experiment owns the checks
             with pytest.raises(ValueError):
-                small_config(**kwargs)
+                run_experiment(config)
 
     def test_config_defaults_to_both_filters(self):
         assert ExperimentConfig(5, 1, 1, 0).policy is FilterPolicy.BOTH

@@ -1,14 +1,22 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from primegen import pseudolab
 from primegen.errors import RefusalError
-from primegen.primality import ExactOutcome, euler_round, fermat_round, miller_rabin, miller_rabin_round, trial_division
+from primegen.primality import (
+    ExactOutcome,
+    euler_round,
+    factor_table,
+    fermat_round,
+    miller_rabin,
+    miller_rabin_round,
+    trial_division,
+)
 from primegen.pseudolab import (
-    CARMICHAEL_CAP,
-    FERMAT_SCAN_CAP,
+    SCAN_CAP,
     LiarCensus,
     carmichael_numbers,
     census_range,
@@ -95,7 +103,21 @@ class TestLiarCensus:
         with pytest.raises(ValueError):
             liar_census(100)  # even
         with pytest.raises(RefusalError):
-            liar_census(10**6 + 9)
+            liar_census(10**12 + 1)  # 73 * 137 * 99990001, above trial division's bound
+
+    def test_above_a_million_matches_the_sieve_factors(self):
+        # trial division factors n on its own; the census sweep reads the same factors from factor_table
+        table = factor_table(2 * 10**6)
+        for n in (1000001, 1024651, 1194649, 1398101, 1999999):  # 1024651 is Carmichael, 1194649 = 1093^2
+            assert table[n], n
+            factors, m = Counter(), n
+            while table[m]:
+                factors[table[m]] += 1
+                m //= table[m]
+            factors[m] += 1
+            census = liar_census(n)
+            assert census == liar_census(n, dict(factors))
+            assert 2 <= census.strong_liars <= census.euler_liars <= census.fermat_liars
 
 
 def test_composite_censuses_match_trial_division_factoring(prime_flags):
@@ -218,8 +240,6 @@ class TestSieveEdges:
         # every Carmichael number is a base-2 pseudoprime; Korselt from the test's own factoring
         flags = prime_flags(SIEVE_EDGE_LIMITS[-1])
         for limit in SIEVE_EDGE_LIMITS[::-1]:
-            if limit > CARMICHAEL_CAP:
-                continue
             rescan = [
                 n
                 for n in pow_rescan(2, limit, flags)
@@ -228,7 +248,7 @@ class TestSieveEdges:
             assert carmichael_numbers(limit) == rescan, limit
 
     def test_750_base_2_pseudoprimes_below_the_cap(self):
-        found = fermat_pseudoprimes(2, FERMAT_SCAN_CAP)
+        found = fermat_pseudoprimes(2, SCAN_CAP)
         assert len(found) == 750  # OEIS A001567
         assert found[:7] == [341, 561, 645, 1105, 1387, 1729, 1905]
 
@@ -265,9 +285,26 @@ class TestCarmichaelNumbers:
         assert len(found) == 43
         assert found[:7] == CARMICHAELS_BELOW_10K and found[-1] == 997633
 
-    def test_refusal(self):
+    def test_one_hundred_five_below_the_scan_cap(self):
+        # OEIS A002997; Carmichael numbers are squarefree, so one is an absolute
+        # Euler pseudoprime iff p - 1 divides (n - 1)/2 for each of its primes p
+        found = carmichael_numbers(SCAN_CAP)
+        assert len(found) == 105 and found[-1] == 9890881
+        for n in found:
+            expected = all((n - 1) // 2 % (p - 1) == 0 for p in _distinct_prime_factors(n))
+            assert is_absolute_euler_pseudoprime(n) == expected, n
+
+    def test_refusal(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sieve work before the cap check")
+
+        monkeypatch.setattr(pseudolab, "_congruence_sieve", fail)
+        monkeypatch.setattr(pseudolab, "factor_table", fail)
+        assert SCAN_CAP == 10**7
         with pytest.raises(RefusalError):
-            carmichael_numbers(10**6 + 1)
+            carmichael_numbers(SCAN_CAP + 1)
+        with pytest.raises(RefusalError):
+            fermat_pseudoprimes(2, SCAN_CAP + 1)
 
 
 class TestSqrtOfUnity:
@@ -288,6 +325,13 @@ class TestSqrtOfUnity:
 
     def test_nine_prime_power_parts_give_1024_roots(self):
         n = 2**3 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23  # 892371480; the 2^3 part has four roots
+        roots = sqrt_of_unity(n)
+        assert len(roots) == 1024
+        assert all(a < b for a, b in zip(roots, roots[1:]))
+        assert all(x * x % n == 1 for x in roots)
+
+    def test_eleven_primes_above_the_old_cap_give_1024_roots(self):
+        n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31  # 200560490130; the 2 part has one root
         roots = sqrt_of_unity(n)
         assert len(roots) == 1024
         assert all(a < b for a, b in zip(roots, roots[1:]))
@@ -314,7 +358,7 @@ class TestSqrtOfUnity:
         with pytest.raises(ValueError):
             sqrt_of_unity(1)
         with pytest.raises(RefusalError):
-            sqrt_of_unity(10**9 + 1)
+            sqrt_of_unity(10**12 + 1)
 
 
 def _distinct_prime_factors(n: int) -> list[int]:
@@ -354,4 +398,4 @@ class TestAbsoluteEulerPseudoprimes:
         with pytest.raises(ValueError):
             is_absolute_euler_pseudoprime(97)
         with pytest.raises(RefusalError):
-            is_absolute_euler_pseudoprime(10**6 + 9)
+            is_absolute_euler_pseudoprime(10**12 + 1)
