@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ from enum import Enum
 from . import arith
 from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow
 from .errors import RefusalError
+from .sampling import Stream
 
 # Smallest n, in bits, whose bases after the first have their chains computed
 # concurrently. mpz_powm releases the GIL, but each modexp makes 13 foreign
@@ -151,7 +151,7 @@ def _pool():
     return ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="primegen-chain")
 
 
-def _base_chains(n: int, rounds: int, rng: random.Random):
+def _base_chains(n: int, rounds: int, rng: Stream):
     """(base, chain) for up to `rounds` uniform bases in [2, n-2] from `rng`.
 
     The first chain is computed alone; a caller asks for the next only
@@ -168,7 +168,7 @@ def _base_chains(n: int, rounds: int, rng: random.Random):
     yield from zip(bases, (_pool().map if concurrent else map)(_chain, [n] * len(bases), bases))
 
 
-def _multi_round(tests, n: int, rounds: int, rng: random.Random) -> dict[str, TestVerdict]:
+def _multi_round(tests, n: int, rounds: int, rng: Stream) -> dict[str, TestVerdict]:
     """Verdicts of the named ROUND_TESTS on n over up to `rounds` uniform bases
     in [2, n-2] from `rng`. One chain per base is read by each test still
     open; a failing test's verdict has rounds_survived = the bases it
@@ -188,7 +188,7 @@ def _multi_round(tests, n: int, rounds: int, rng: random.Random) -> dict[str, Te
     return {test: verdict or survived for test, verdict in verdicts.items()}
 
 
-def miller_rabin(n: int, rounds: int, rng: random.Random) -> TestVerdict:
+def miller_rabin(n: int, rounds: int, rng: Stream) -> TestVerdict:
     """Up to `rounds` strong rounds with independent uniform bases in [2, n-2].
 
     Stops at the first witness. A surviving composite slips through with
@@ -197,17 +197,17 @@ def miller_rabin(n: int, rounds: int, rng: random.Random) -> TestVerdict:
     return _multi_round(("miller_rabin",), n, rounds, rng)["miller_rabin"]
 
 
-def fermat_test(n: int, rounds: int, rng: random.Random) -> TestVerdict:
+def fermat_test(n: int, rounds: int, rng: Stream) -> TestVerdict:
     """Multi-round Fermat test, stopping at the first witness; unreliable against Carmichael numbers."""
     return _multi_round(("fermat",), n, rounds, rng)["fermat"]
 
 
-def euler_test(n: int, rounds: int, rng: random.Random) -> TestVerdict:
+def euler_test(n: int, rounds: int, rng: Stream) -> TestVerdict:
     """Multi-round Euler test, stopping at the first witness."""
     return _multi_round(("euler",), n, rounds, rng)["euler"]
 
 
-def compare_tests(n: int, rounds: int, rng: random.Random) -> dict[str, TestVerdict]:
+def compare_tests(n: int, rounds: int, rng: Stream) -> dict[str, TestVerdict]:
     """Every ROUND_TESTS verdict on n from one base sequence: one chain per base serves all."""
     return _multi_round(ROUND_TESTS, n, rounds, rng)
 

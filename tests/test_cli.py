@@ -138,9 +138,14 @@ class TestConfidenceCommand:
 
 
 class TestTestCommand:
-    def test_fermat_false_positive_is_flagged(self, capsys):
+    def test_fermat_false_positive_is_flagged(self, capsys, monkeypatch):
         # base 139 is a Fermat liar for 561 but an Euler (and strong) witness
-        code, out, _ = run_cli(capsys, "test", "561", "--rounds", "1", "--seed", "1")
+        class Base139:
+            def randint(self, lo, hi):
+                return 139
+
+        monkeypatch.setattr(cli, "make_stream", lambda seed: Base139())
+        code, out, _ = run_cli(capsys, "test", "561", "--rounds", "1")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "trial_division: COMPOSITE (smallest factor 3)"
@@ -414,13 +419,13 @@ def test_published_prior_above_one_is_usage_error(capsys, monkeypatch, command, 
 # Fermat's F11 = 2^2048 + 1 is composite; seed 1's first base is a witness to
 # all three tests, so the line pins the order in which bases are drawn.
 F11_WITNESS = (
-    "2187371853895583767712357446389840494880764927776939041036438187414731452393553412120005107419665250"
-    "8274297615262647861538720820261498049141126940788520768279530449773625390015421162120124561578760015"
-    "3042058950602748831077492796784300180825399708963003293207846098685741792109126805007550612762143210"
-    "7907821359189476980509577161439339397675400531547545752185862929965372646075819281207140748618120085"
-    "9413336067255409296658838616816684576112877945074734750115068888282206214264961910257744276627649524"
-    "6001247362023235041552640152732831007184066641908823403159911013176498376328693950551850517561131252"
-    "57031433970889207"
+    "1214604130138140324770174621315100353958816925051588099819551425505240793144136751321509573222276728"
+    "1620891921458946727563604548411965539805948877132330361949801179891910633569336514533551051511517785"
+    "7972876995155612006226412484629834518640476941616467362293323104230182185196543492720383991882308236"
+    "3143448026093310591223718690302023408389702496642011729873781148926802075600885467035992958504271663"
+    "2456911874355341413529456747587888837973290487271065356667833806253783967392059943097817643680310058"
+    "9990947824640978644779206504494538738529798336650684345990554724431456845696800175382077015567418734"
+    "59340860020773053"
 )
 
 # CLI stdout bytes are part of the behaviour contract. These commands run all
@@ -429,15 +434,15 @@ F11_WITNESS = (
 GOLDEN = {
     "test 561 --rounds 3 --seed 1": """\
 trial_division: COMPOSITE (smallest factor 3)
-fermat[m=3]: COMPOSITE (witness 66, factor 33)
-euler[m=3]: COMPOSITE (witness 139)
-miller_rabin[m=3]: COMPOSITE (witness 139)
+fermat[m=3]: COMPOSITE (witness 407, factor 11)
+euler[m=3]: COMPOSITE (witness 407, factor 11)
+miller_rabin[m=3]: COMPOSITE (witness 407, factor 11)
 """,
     "test 2047 --rounds 10 --seed 5": """\
 trial_division: COMPOSITE (smallest factor 23)
-fermat[m=10]: COMPOSITE (witness 1277)
-euler[m=10]: COMPOSITE (witness 1277)
-miller_rabin[m=10]: COMPOSITE (witness 1277)
+fermat[m=10]: COMPOSITE (witness 116)
+euler[m=10]: COMPOSITE (witness 116)
+miller_rabin[m=10]: COMPOSITE (witness 116)
 """,
     "test 99991 --rounds 10 --seed 1": """\
 trial_division: PRIME
@@ -827,12 +832,12 @@ prior_p,prior_c,rounds,ratio,slack,lower_bound,exact_posterior,rounds_for_target
 }
 """,
     "experiment --digits 12 --count 6 --rounds 5 --seed 3": """\
-646057584557 COMPOSITE
-604182145093 COMPOSITE
-398497775279 COMPOSITE
-892104228563 PRIME
-517467084827 COMPOSITE
-379802250091 COMPOSITE
+839387926243 COMPOSITE
+904573905089 COMPOSITE
+273943203523 COMPOSITE
+168323182601 COMPOSITE
+606247660003 COMPOSITE
+358131265249 COMPOSITE
 
 candidates: 6
 digits: 12
@@ -840,54 +845,54 @@ rounds: 5
 seed: 3
 policy: both
 mode: corrected
-probable_primes: 1
+probable_primes: 0
 expected_primes: 0.806076879
 confidence_lower_bound: 0.993707560
 """,
     "experiment --digits 12 --count 6 --rounds 5 --seed 3 --format csv": """\
 number,verdict,rounds_used,confidence_lower_bound
-646057584557,COMPOSITE,1,
-604182145093,COMPOSITE,1,
-398497775279,COMPOSITE,1,
-892104228563,PRIME,5,0.993707560
-517467084827,COMPOSITE,1,
-379802250091,COMPOSITE,1,
+839387926243,COMPOSITE,1,
+904573905089,COMPOSITE,1,
+273943203523,COMPOSITE,1,
+168323182601,COMPOSITE,1,
+606247660003,COMPOSITE,1,
+358131265249,COMPOSITE,1,
 """,
     "experiment --digits 12 --count 6 --rounds 5 --seed 3 --format json": """\
 {
   "records": [
     {
-      "number": 646057584557,
+      "number": 839387926243,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
     },
     {
-      "number": 604182145093,
+      "number": 904573905089,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
     },
     {
-      "number": 398497775279,
+      "number": 273943203523,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
     },
     {
-      "number": 892104228563,
-      "verdict": "PRIME",
-      "rounds_used": 5,
-      "confidence_lower_bound": 0.9937075598148466
-    },
-    {
-      "number": 517467084827,
+      "number": 168323182601,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
     },
     {
-      "number": 379802250091,
+      "number": 606247660003,
+      "verdict": "COMPOSITE",
+      "rounds_used": 1,
+      "confidence_lower_bound": null
+    },
+    {
+      "number": 358131265249,
       "verdict": "COMPOSITE",
       "rounds_used": 1,
       "confidence_lower_bound": null
@@ -900,16 +905,16 @@ number,verdict,rounds_used,confidence_lower_bound
     "seed": 3,
     "policy": "both",
     "mode": "corrected",
-    "prime_count": 1,
+    "prime_count": 0,
     "expected_primes": 0.8060768792901263,
     "confidence_lower_bound": 0.9937075598148466
   }
 }
 """,
     "generate --digits 20 --seed 5": """\
-95193917651868548053
+59551387323720576533
 digits: 20
-attempts: 38
+attempts: 13
 rounds: 7
 prior: 0.080954015
 confidence_lower_bound: 0.999307087
@@ -1002,4 +1007,9 @@ def test_closed_stdout_exits_quietly():
 def test_experiment_csv_writes_summary_to_stderr(capsys):
     code, _, err = run_cli(capsys, *"experiment --digits 12 --count 6 --rounds 5 --seed 3 --format csv".split())
     assert code == 0
-    assert err == "probable_primes: 1\nexpected_primes: 0.806076879\nconfidence_lower_bound: 0.993707560\n"
+    assert err == "probable_primes: 0\nexpected_primes: 0.806076879\nconfidence_lower_bound: 0.993707560\n"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert run_cli(capsys, "confidence", "--rounds", "1")[0] == 0
+    assert build_parser() is build_parser()

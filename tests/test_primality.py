@@ -296,9 +296,11 @@ class TestConcurrentRounds:
             assert pool_calls
         else:
             assert not pool_calls and chains == [2, 3]  # no chain is built past the witness
-        # make_stream(2)'s first base for 2047, 1959, is a strong liar: the stream
-        # is left where ten draws leave it, whether or not the pool ran
+        # a real stream whose first base is the strong liar 1959 and second the
+        # witness 3 is left where ten draws leave it, whether or not the pool ran
         rng, reference = make_stream(2), make_stream(2)
+        draw, bases = rng.randint, iter([1959, 3])
+        rng.randint = lambda lo, hi: next(bases, draw(lo, hi))  # every call draws from the stream
         assert miller_rabin(2047, 10, rng).rounds_survived == 1
         for _ in range(10):
             reference.randint(2, 2045)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -5,7 +6,9 @@ from statistics import NormalDist
 
 import pytest
 
+from primegen import sampling
 from primegen.sampling import (
+    MAX_SEED,
     Candidate,
     FilterPolicy,
     make_stream,
@@ -120,22 +123,23 @@ class TestRandomCandidate:
             assert c.digits == 75 and len(str(c.n)) == 75
             assert paper_filters(c.n, BOTH)
 
-    def test_one_draw_per_candidate(self):
-        class Recording(random.Random):
-            def randrange(self, *args):
-                calls.append("randrange")
-                return super().randrange(*args)
+    def test_one_draw_per_candidate(self, monkeypatch):
+        # one randrange below the pool count, so one hash, per candidate
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
 
-            def choice(self, seq):
-                calls.append("choice")
-                return super().choice(seq)
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
 
-        calls = []
-        rng = Recording(8)
+        calls, hashed = [], []
+        monkeypatch.setattr(sampling, "shake_256", lambda data: hashed.append(data) or hashlib.shake_256(data))
         for policy in POLICIES:
             for digits in (2, 30):
-                random_candidate(digits, policy, rng)
-        assert calls == ["randrange", "choice"] * 6
+                random_candidate(digits, policy, Recording(make_stream(8)))
+        assert calls == ["randrange"] * 6
+        assert len(hashed) == 6
 
     def test_unfiltered_digit_length_and_leading_digit_uniformity(self):
         rng = make_stream(99)
@@ -188,6 +192,9 @@ class TestMakeStream:
             make_stream(-1)
         with pytest.raises(ValueError):
             make_stream(3, -1)
+        make_stream(3, MAX_SEED)
+        with pytest.raises(ValueError):
+            make_stream(3, 2**64)
 
     def test_unseeded_stream_is_system_randomness(self):
         assert isinstance(make_stream(None), random.SystemRandom)
@@ -230,6 +237,47 @@ class TestMakeStream:
             samples[f"joint mod 7, {name}"] = ([7 * (candidate(a) % 7) + candidate(b) % 7 for a, b in pairs], 49)
         p_values = {name: _uniform_p_value(values, cells) for name, (values, cells) in samples.items()}
         assert min(p_values.values()) >= 1e-6, p_values
+
+
+def _shake_draw(seed: int, index: int, counter: int, bits: int) -> int:
+    """The documented layout: SHAKE-256 of seed, index and counter as 8
+    little-endian bytes each; the low `bits` bits of the output read little-endian."""
+    data = seed.to_bytes(8, "little") + index.to_bytes(8, "little") + counter.to_bytes(8, "little")
+    return int.from_bytes(hashlib.shake_256(data).digest((bits + 7) // 8), "little") % 2**bits
+
+
+class TestKeyedStream:
+    @pytest.mark.parametrize("seed,index", [(0, 0), (5, 3), (MAX_SEED, MAX_SEED)])
+    def test_draws_match_a_shake_256_reference(self, seed, index):
+        rng = make_stream(seed, index)
+        n = 24 * 10**28  # the 30-digit pool count of both filters
+        assert rng.getrandbits(64) == _shake_draw(seed, index, 0, 64)
+        assert rng.getrandbits(13) == _shake_draw(seed, index, 1, 13)
+        assert rng.randrange(n) == _shake_draw(seed, index, 2, n.bit_length() + 64) % n
+        assert rng.randint(2, 559) == 2 + _shake_draw(seed, index, 3, (558).bit_length() + 64) % 558
+        assert rng.choice("abc") == "abc"[_shake_draw(seed, index, 4, (3).bit_length() + 64) % 3]
+
+    def test_a_draw_in_the_incomplete_last_block_is_redrawn(self, monkeypatch):
+        # all-ones output is r = 2^66 - 1 = 3k: r - r % 3 > 2^66 - 3, so the
+        # draw below 3 takes the next counter
+        class Top:
+            def digest(self, size):
+                return b"\xff" * size
+
+        hashed = []
+
+        def shake(data):
+            hashed.append(data)
+            return Top() if len(hashed) == 1 else hashlib.shake_256(data)
+
+        monkeypatch.setattr(sampling, "shake_256", shake)
+        rng = make_stream(7, 2)
+        assert rng.randrange(3) == _shake_draw(7, 2, 1, 66) % 3
+        assert [data[16:] for data in hashed] == [(0).to_bytes(8, "little"), (1).to_bytes(8, "little")]
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError):
+            make_stream(1).randrange(0)
 
 
 def _uniform_p_value(values: list[int], cells: int) -> float:
