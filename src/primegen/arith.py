@@ -95,9 +95,6 @@ class TwoAdicDecomposition:
     s: int
     odd_part: int
 
-    def recompose(self) -> int:
-        return (1 << self.s) * self.odd_part
-
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
     """Return base**exponent mod modulus, in [0, modulus).

@@ -138,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a --digits or --rounds too large for a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -162,6 +162,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 def _cmd_test(args: argparse.Namespace) -> None:
     _check_rounds(args)
+    rng = make_stream(args.seed)  # a bad seed is a usage error before the oracle's line
     n = args.n
     try:
         exact = trial_division(n)
@@ -174,7 +175,7 @@ def _cmd_test(args: argparse.Namespace) -> None:
     if n < 5 or n % 2 == 0:
         print("probabilistic tests need odd n >= 5; skipped", file=sys.stderr)
         return
-    for label, verdict in compare_tests(n, args.rounds, make_stream(args.seed)).items():
+    for label, verdict in compare_tests(n, args.rounds, rng).items():
         line = f"{label}[m={args.rounds}]: {'COMPOSITE' if verdict.is_composite else 'PROBABLE_PRIME'}"
         if verdict.is_composite:  # a driver's composite verdict always names its witness base
             factor = "" if verdict.factor is None else f", factor {verdict.factor}"
@@ -264,18 +265,9 @@ def str_at(value, exp10: int) -> str:
 def _cmd_confidence(args: argparse.Namespace) -> None:
     prior = args.prior if args.prior is not None else filtered_prime_prob(args.digits, POLICIES[args.policy], Mode(args.mode))
     report = bayes_confidence(prior, args.rounds)
-    needed = rounds_for_confidence(prior, args.target_confidence) if args.target_confidence is not None else None
-    fields = {
-        "prior_p": f"{report.prior_p:.9f}",
-        "prior_c": f"{report.prior_c:.9f}",
-        "rounds": report.rounds,
-        "ratio": f"{report.ratio:.9f}",
-        "slack": f"{report.slack:.9f}",
-        "lower_bound": f"{report.lower_bound:.9f}",
-        "exact_posterior": f"{report.exact_posterior:.9f}",
-    }
-    if needed is not None:
-        fields["rounds_for_target"] = needed
+    fields = {k: f"{v:.9f}" if isinstance(v, float) else v for k, v in dataclasses.asdict(report).items()}
+    if args.target_confidence is not None:
+        fields["rounds_for_target"] = rounds_for_confidence(prior, args.target_confidence)
     if args.format == "json":
         print(json.dumps(fields, indent=2))
     elif args.format == "csv":

@@ -188,7 +188,6 @@ class TestDecomposePow2:
                 s += 1
             assert (dec.s, dec.odd_part) == (s, odd)
             assert dec.odd_part % 2 == 1
-            assert dec.recompose() == x
 
     def test_domain_errors(self):
         for bad in (0, 1, 3, 561):

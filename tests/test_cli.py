@@ -190,6 +190,15 @@ class TestTestCommand:
         assert code == 2
         assert out == "" and err == "error: round count must be >= 1\n"
 
+    # 9 gets the exact oracle's verdict line and 4 skips the probabilistic tests:
+    # a seed checked only where the stream is first used would miss both
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("n", ["9", "4"])
+    def test_seed_outside_64_bits_is_usage_error_before_any_output(self, capsys, no_work, n, seed):
+        code, out, err = run_cli(capsys, "test", n, "--seed", seed)
+        assert code == 2
+        assert out == "" and err == f"error: seed must fit in 64 bits, got {seed}\n"
+
     def test_round_count_at_the_cap_runs(self, capsys):
         code, out, _ = run_cli(capsys, "test", "97", "--rounds", str(cli.ROUND_CAP), "--seed", "0")
         assert code == 0
@@ -414,6 +423,17 @@ def test_published_prior_above_one_is_usage_error(capsys, monkeypatch, command, 
     code, out, err = run_cli(capsys, command, "--digits", digits, "--mode", "published")
     assert code == 2
     assert out == "" and "prior must be in (0, 1)" in err
+
+
+# 10^400 is past the largest float: the prior's and the round bound's float
+# arithmetic cannot take it, and a traceback would exit 1, the closed-stdout code.
+@pytest.mark.parametrize("argv", [
+    "confidence --prior 0.5 --rounds", "confidence --digits", "generate --digits", "experiment --digits",
+])
+def test_number_too_large_for_a_float_is_usage_error(capsys, no_work, argv):
+    code, out, err = run_cli(capsys, *argv.split(), str(10**400))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 # Fermat's F11 = 2^2048 + 1 is composite; seed 1's first base is a witness to

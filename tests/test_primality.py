@@ -146,23 +146,6 @@ class TestSoundnessOnPrimes:
                 assert tuple(v.is_probable_prime for v in rounds) == liar_oracle(n, a) == (True, True, True)
 
 
-class TestHierarchy:
-    def test_fermat_composite_implies_euler_composite_exhaustive(self):
-        # also checks the contrapositive: an euler pass implies a fermat pass
-        for n in range(5, 1201, 2):
-            for a in range(2, n - 1):
-                f = fermat_round(n, a)
-                e = euler_round(n, a)
-                if f.is_composite:
-                    assert e.is_composite
-                if e.is_probable_prime:
-                    assert f.is_probable_prime
-
-    def test_strict_improvement_witness_exists(self):
-        assert fermat_round(561, 5).is_probable_prime
-        assert euler_round(561, 5).is_composite
-
-
 class TestMultiRoundDrivers:
     def test_carmichael_561_detected_quickly_by_strong_test(self):
         verdict = miller_rabin(561, 10, make_stream(42))
