@@ -6,7 +6,7 @@ prime-density estimates, Bayesian confidence bounds, and a pseudoprime
 lab, behind one CLI.
 """
 
-from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow
+from .arith import decompose_pow2, mod_pow
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import (
     Mode,
@@ -30,7 +30,6 @@ from .experiment import (
 from .primality import (
     ExactOutcome,
     ExactVerdict,
-    MRTranscript,
     TestVerdict,
     euler_round,
     euler_test,
@@ -65,12 +64,10 @@ __all__ = [
     "FilterPolicy",
     "GeneratedPrime",
     "LiarCensus",
-    "MRTranscript",
     "Mode",
     "RefusalError",
     "SciReal",
     "TestVerdict",
-    "TwoAdicDecomposition",
     "base_prime_prob",
     "bayes_confidence",
     "carmichael_numbers",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
 
 # Sonames handed to CDLL in order (Linux, then macOS). A fixed list, so that
 # loading runs no ldconfig or compiler as ctypes.util.find_library would.
@@ -88,14 +87,6 @@ def _gmp_pow(lib: ctypes.CDLL, base: int, exponent: int, modulus: int) -> int:
             lib.__gmpz_clear(z)
 
 
-@dataclass(frozen=True)
-class TwoAdicDecomposition:
-    """An even number written as 2**s * odd_part with odd_part odd."""
-
-    s: int
-    odd_part: int
-
-
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
     """Return base**exponent mod modulus, in [0, modulus).
 
@@ -114,9 +105,9 @@ def mod_pow(base: int, exponent: int, modulus: int) -> int:
     return _gmp_pow(lib, base % modulus, exponent, modulus)  # GMP imports magnitudes: reduce a negative base
 
 
-def decompose_pow2(even: int) -> TwoAdicDecomposition:
-    """Split an even number into 2**s * odd_part (odd_part odd, s >= 1)."""
+def decompose_pow2(even: int) -> tuple[int, int]:
+    """(s, odd_part) with even = 2**s * odd_part, odd_part odd and s >= 1."""
     if even < 2 or even % 2:
         raise ValueError(f"input must be even and >= 2, got {even}")
     s = (even & -even).bit_length() - 1
-    return TwoAdicDecomposition(s=s, odd_part=even >> s)
+    return s, even >> s

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import arith
-from .arith import TwoAdicDecomposition, decompose_pow2, mod_pow
+from .arith import decompose_pow2, mod_pow
 from .errors import RefusalError
 from .sampling import Stream
 
@@ -54,18 +54,6 @@ class TestVerdict:
         return not self.is_composite
 
 
-@dataclass(frozen=True)
-class MRTranscript:
-    """Audit trail of one Miller-Rabin round, built by mr_transcript.
-
-    chain[0] = a^m mod n and chain[i] = chain[i-1]^2 mod n, so
-    chain[s] = a^(n-1) mod n where n - 1 = 2^s * m.
-    """
-
-    decomposition: TwoAdicDecomposition
-    chain: tuple[int, ...]
-
-
 def _check_round_args(n: int, a: int | None = None) -> None:
     if n < 5 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 5, got {n}")
@@ -77,8 +65,8 @@ def _chain(n: int, a: int) -> list[int]:
     """[a^m, a^(2m), ..., a^(n-1)] mod n for odd n >= 3, where n - 1 = 2^s * m, m odd.
     Fermat reads the last entry, Euler the one before it, and the strong
     test the head plus any n - 1 before the last entry."""
-    s = ((n - 1) & -(n - 1)).bit_length() - 1
-    chain = [mod_pow(a, (n - 1) >> s, n)]
+    s, m = decompose_pow2(n - 1)
+    chain = [mod_pow(a, m, n)]
     for _ in range(s):
         chain.append(chain[-1] * chain[-1] % n)
     return chain
@@ -113,8 +101,9 @@ def fermat_round(n: int, a: int) -> TestVerdict:
 def euler_round(n: int, a: int) -> TestVerdict:
     """Probable prime iff a^((n-1)/2) = +-1 (mod n).
 
-    Strictly sharper than the Fermat round: the square of +-1 is 1, so
-    every Euler liar is a Fermat liar.
+    Never weaker than the Fermat round: the square of +-1 is 1, so every
+    Euler liar is a Fermat liar. Not always sharper: on some n the two
+    liar sets are equal, e.g. 1729, 2465 and 15841.
     """
     _check_round_args(n, a)
     return _PASSED if ROUND_TESTS["euler"](n, _chain(n, a)) else _witness(n, a, 0)
@@ -130,10 +119,12 @@ def miller_rabin_round(n: int, a: int) -> TestVerdict:
     return _PASSED if ROUND_TESTS["miller_rabin"](n, _chain(n, a)) else _witness(n, a, 0)
 
 
-def mr_transcript(n: int, a: int) -> MRTranscript:
-    """The squaring chain of one Miller-Rabin round, built on request."""
+def mr_transcript(n: int, a: int) -> tuple[int, ...]:
+    """The squaring chain (a^m, a^(2m), ..., a^(n-1)) mod n of one Miller-Rabin
+    round, built on request. With n - 1 = 2^s * m, m odd: s = len - 1 and
+    m = (n - 1) >> s."""
     _check_round_args(n, a)
-    return MRTranscript(decomposition=decompose_pow2(n - 1), chain=tuple(_chain(n, a)))
+    return tuple(_chain(n, a))
 
 
 def _cpu_count() -> int:

@@ -68,13 +68,13 @@ def liar_census(n: int, factors: dict[int, int] | None = None) -> LiarCensus:
         test, a^((n-1)/2) = (a/n): at n = 21 it gives 2, this one 4.
     """
     primes = list(_odd_composite_factors(n, "census", factors))
-    k = decompose_pow2(n - 1).s
-    e = min(decompose_pow2(p - 1).s for p in primes)
+    k, odd = decompose_pow2(n - 1)
+    e = min(decompose_pow2(p - 1)[0] for p in primes)
     omega = len(primes)
     fermat = math.prod(math.gcd(n - 1, p - 1) for p in primes)
     euler = math.prod(math.gcd((n - 1) // 2, p - 1) for p in primes) * (2 if e == k else 1)
     chains = 1 + (2 ** (e * omega) - 1) // (2**omega - 1)
-    strong = chains * math.prod(math.gcd((n - 1) >> k, p - 1) for p in primes)
+    strong = chains * math.prod(math.gcd(odd, p - 1) for p in primes)
     return LiarCensus(n=n, total_bases=n - 1, fermat_liars=fermat, euler_liars=euler, strong_liars=strong)
 
 

@@ -90,6 +90,12 @@ class TestLiarCensus:
         # values from census_via_oracle, a one-off exhaustive run over all n - 1 bases
         assert liar_census(n) == LiarCensus(n, n - 1, fermat, euler, strong)
 
+    @pytest.mark.parametrize("n, liars, strong", [(2465, 1792, 70), (15841, 12960, 810)])
+    def test_euler_liars_can_equal_fermat_liars(self, n, liars, strong, liar_oracle):
+        # Carmichael numbers above the sweep's 2000 (5 * 17 * 29, 7 * 31 * 73) on which
+        # the +-1 Euler round is no sharper than the Fermat round
+        assert liar_census(n) == LiarCensus(n, n - 1, liars, liars, strong) == census_via_oracle(n, liar_oracle)
+
     def test_hierarchy_and_trivial_liars(self, prime_flags):
         for n in odd_composites(501, prime_flags):
             census = liar_census(n)
