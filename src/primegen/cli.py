@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--digits", type=int, default=75)
     gen.add_argument("--target-confidence", type=float, default=0.999)
     gen.add_argument("--seed", type=int, default=None)
-    _policy_mode_args(gen)
+    gen.add_argument("--policy", choices=sorted(POLICIES), default="both")  # no --mode: the prior is the pool's own
     gen.set_defaults(run=_cmd_generate)
 
     test = sub.add_parser("test", help="run all three tests (and the exact oracle when in range) on one number")
@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--rounds", type=int, default=10)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    exp.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     _policy_mode_args(exp)
     exp.set_defaults(run=_cmd_experiment)
 
@@ -149,7 +148,6 @@ def _cmd_generate(args: argparse.Namespace) -> None:
         digits=args.digits,
         target_confidence=args.target_confidence,
         seed=args.seed,
-        mode=Mode(args.mode),
         policy=POLICIES[args.policy],
     )
     report = result.confidence
@@ -204,29 +202,21 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         mode=Mode(args.mode),
     )
     records, summary = run_experiment(config)
-    text = render_report(records, args.format, summary)
     if args.format == "csv":
         print(render_fields(summary.fields()[-3:]), file=sys.stderr)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
+    print(render_report(records, args.format, summary))
 
 
 def _parse_digit_range(text: str) -> range:
-    if "-" in text:
-        lo_text, hi_text = text.split("-", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
-    if lo < 2 or hi < lo:
-        raise ValueError(f"bad digit range {text!r}")
-    return range(lo, hi + 1)
+    """K or A-B, with 2 <= A <= B; any other text is a bad range."""
+    lo_text, dash, hi_text = text.partition("-")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dash else lo_text)
+        if 2 <= lo <= hi:
+            return range(lo, hi + 1)
+    except ValueError:
+        pass
+    raise ValueError(f"bad digit range {text!r}")
 
 
 def _cmd_density(args: argparse.Namespace) -> None:

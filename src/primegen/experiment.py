@@ -130,14 +130,15 @@ def generate_prime(
     digits: int,
     target_confidence: float,
     seed: int | None = None,
-    mode: Mode = Mode.CORRECTED,
     policy: FilterPolicy = FilterPolicy.BOTH,
 ) -> GeneratedPrime:
     """Draw filtered candidates until one survives enough strong rounds.
 
     The round count is the smallest m whose posterior lower bound meets
-    the target for this digit size and policy. Expected attempts are
-    roughly 1 / filtered_prime_prob(digits, policy).
+    the target for this digit size and policy. The prior is
+    filtered_prime_prob(digits, policy), the exact gain W/phi(W) of the
+    pool the candidates are drawn from; expected attempts are roughly
+    its inverse.
 
     An even candidate, or one with a prime factor up to SMALL_PRIME_BOUND,
     is rejected before any strong round. Attempt i draws only from
@@ -146,7 +147,7 @@ def generate_prime(
     count stay those of the filtered pool: the screen only removes
     composites, so the reported bound stays valid and is conservative.
     """
-    prior = filtered_prime_prob(digits, policy, mode)
+    prior = filtered_prime_prob(digits, policy)
     rounds = rounds_for_confidence(prior, target_confidence)
     for attempt in range(MAX_ATTEMPTS):
         rng = make_stream(seed, attempt)
@@ -195,27 +196,23 @@ def render_fields(fields: Iterable[tuple[str, object]]) -> str:
     return "\n".join(f"{key}: {value}" for key, value in fields)
 
 
-def render_report(records: Iterable[ExperimentRecord], output_format: str = "table",
-                  summary: ExperimentSummary | None = None) -> str:
+def render_report(records: Iterable[ExperimentRecord], output_format: str, summary: ExperimentSummary) -> str:
     """Render records; numbers always in full decimal, never scientific.
 
-    table: one "<number> <PRIME|COMPOSITE>" line per record (plus a
-    trailing summary block when given). csv: CSV_HEADER, empty confidence
-    field for composites, no summary. json: records array plus summary.
+    table: one "<number> <PRIME|COMPOSITE>" line per record, a blank line
+    and the summary block. csv: CSV_HEADER, empty confidence field for
+    composites, no summary. json: records array plus summary.
     """
     values = [(r.candidate.n, r.label, r.rounds_used, r.confidence_lower_bound) for r in records]
     if output_format == "table":
-        lines = [f"{n} {label}" for n, label, _, _ in values]
-        if summary is not None:
-            lines += ["", render_fields(summary.fields())]
-        return "\n".join(lines)
+        return "\n".join([f"{n} {label}" for n, label, _, _ in values] + ["", render_fields(summary.fields())])
     if output_format == "csv":
         rows = [(n, label, used, "" if bound is None else f"{bound:.9f}") for n, label, used, bound in values]
         return "".join(render_rows(CSV_HEADER, rows, "csv"))
     if output_format == "json":
         payload = {
             "records": [dict(zip(CSV_HEADER, v)) for v in values],
-            "summary": None if summary is None else summary.__dict__,
+            "summary": summary.__dict__,
         }
         return json.dumps(payload, indent=2)
     raise ValueError(f"unknown output format {output_format!r}")

@@ -59,9 +59,10 @@ class TestDensityCommand:
         assert [row["digits"] for row in payload["rows"]] == [6, 7]
 
     def test_bad_range_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "density", "--digits", "9-2")
-        assert code == 2
-        assert "error" in err
+        for digits in ("9-2", "1", "6-5", "5-", "-5", "a", "5-x", ""):
+            code, out, err = run_cli(capsys, "density", "--digits", digits)
+            assert code == 2
+            assert out == "" and err == f"error: bad digit range {digits!r}\n"
 
     @pytest.mark.parametrize("digits", ["4301", "2-4301", "1000000"])
     def test_oversized_table_refused_before_any_row(self, capsys, monkeypatch, digits):
@@ -257,25 +258,6 @@ class TestExperimentCommand:
         assert len(payload["records"]) == 5
         assert payload["summary"]["seed"] == 2
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "report.csv"
-        code, out, err = run_cli(
-            capsys, "experiment", "--digits", "8", "--count", "4", "--rounds", "5",
-            "--seed", "6", "--format", "csv", "--out", str(target),
-        )
-        assert code == 0
-        assert out == ""
-        assert target.read_text().startswith("number,verdict")
-
-    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "x.csv"
-        code, out, err = run_cli(capsys, "experiment", "--digits", "8", "--count", "4", "--seed", "6",
-                                 "--out", str(target))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert not target.exists()
-
     def test_unfiltered_policy_tests_even_candidates(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "--policy", "none", "--digits", "5", "--count", "5",
                                "--seed", "1")
@@ -398,10 +380,15 @@ class TestLabCommand:
 
 
 class TestParser:
-    def test_unknown_command_exits_with_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["frobnicate"])
-        assert excinfo.value.code == 2
+    def test_unknown_command_exits_with_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        # generate has no --mode (its prior is the drawn pool's) and experiment no --out
+        for argv in (["frobnicate"], ["generate", "--mode", "published"], ["experiment", "--out", "x.csv"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().out == ""
+        assert not (tmp_path / "x.csv").exists()
 
     def test_policy_choices_are_the_filter_policies(self):
         commands = next(a for a in build_parser()._actions if a.dest == "command").choices
@@ -412,9 +399,9 @@ class TestParser:
 
 # Published mode doubles the both-filters factor, so its 2- and 3-digit
 # priors are 1.45 and 1.03: no Bayes bound exists, and the command must
-# say so before it draws a candidate.
+# say so before it draws a candidate. (generate has no published mode.)
 @pytest.mark.parametrize("digits", ["2", "3"])
-@pytest.mark.parametrize("command", ["generate", "experiment", "confidence"])
+@pytest.mark.parametrize("command", ["experiment", "confidence"])
 def test_published_prior_above_one_is_usage_error(capsys, monkeypatch, command, digits):
     def draw(*args):
         raise AssertionError("candidate drawn before the prior was checked")

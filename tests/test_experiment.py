@@ -1,15 +1,17 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
 from primegen import experiment, primality
-from primegen.confidence import bayes_confidence
+from primegen.confidence import bayes_confidence, rounds_for_confidence
 from primegen.density import Mode, filtered_prime_prob
 from primegen.errors import RefusalError
 from primegen.experiment import (
     ExperimentConfig,
     ExperimentRecord,
+    ExperimentSummary,
     generate_prime,
     render_report,
     run_experiment,
@@ -112,9 +114,17 @@ class TestGeneratePrime:
         assert result.confidence.lower_bound >= 0.999
         assert miller_rabin(result.value, 15, make_stream(None)).is_probable_prime
 
-    def test_published_prior_pairs_ten_rounds_with_target(self):
-        result = generate_prime(75, 0.999978, seed=1, mode=Mode.PUBLISHED)
-        assert result.rounds == 10
+    @pytest.mark.parametrize("policy", list(FilterPolicy))
+    def test_prior_is_the_drawn_pools(self, policy):
+        result = generate_prime(20, 0.999, seed=3, policy=policy)
+        assert result.confidence.prior_p == filtered_prime_prob(20, policy)
+        assert result.confidence.lower_bound >= 0.999
+
+    def test_617_digit_rounds_meet_the_target_for_the_drawn_pool(self):
+        # the published prior (gain 7.5 in place of 30/8) would stop at 9
+        # rounds, a bound of only 0.998558 for the pool actually drawn
+        assert rounds_for_confidence(filtered_prime_prob(617, BOTH), 0.999) == 10
+        assert rounds_for_confidence(filtered_prime_prob(617, BOTH, Mode.PUBLISHED), 0.999) == 9
 
     def test_unseeded_generation(self):
         result = generate_prime(12, 0.999999)
@@ -193,22 +203,26 @@ def _fake_records():
     return [prime, composite]
 
 
+SUMMARY = ExperimentSummary(digits=3, count=2, rounds=10, seed=0, policy="both", mode="corrected",
+                            prime_count=1, expected_primes=0.5, confidence_lower_bound=0.99997)
+
+
 class TestRenderReport:
     def test_table_two_lines(self):
-        text = render_report(_fake_records(), "table")
-        assert text.splitlines() == ["101 PRIME", "561 COMPOSITE"]
+        text = render_report(_fake_records(), "table", SUMMARY)
+        assert text.splitlines() == ["101 PRIME", "561 COMPOSITE", "", *(f"{k}: {v}" for k, v in SUMMARY.fields())]
 
     def test_csv_header_and_rows(self):
-        lines = render_report(_fake_records(), "csv").splitlines()
+        lines = render_report(_fake_records(), "csv", SUMMARY).splitlines()
         assert lines[0] == "number,verdict,rounds_used,confidence_lower_bound"
         assert lines[1] == "101,PRIME,10,0.999970000"
         assert lines[2] == "561,COMPOSITE,1,"
 
     def test_json_structure(self):
-        payload = json.loads(render_report(_fake_records(), "json"))
+        payload = json.loads(render_report(_fake_records(), "json", SUMMARY))
         assert [r["number"] for r in payload["records"]] == [101, 561]
         assert payload["records"][0]["verdict"] == "PRIME"
-        assert payload["summary"] is None
+        assert list(payload["summary"]) == [f.name for f in dataclasses.fields(ExperimentSummary)]
 
     def test_full_decimal_rendering_of_big_numbers(self):
         records, summary = run_experiment(ExperimentConfig(digits=75, count=3, rounds=5, seed=9))
@@ -219,4 +233,4 @@ class TestRenderReport:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            render_report(_fake_records(), "yaml")
+            render_report(_fake_records(), "yaml", SUMMARY)
