@@ -29,35 +29,6 @@ def no_work(monkeypatch):
 
 
 class TestDensityCommand:
-    def test_csv_row_is_parseable_and_consistent(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "density", "--digits", "75", "--policy", "both", "--mode", "published", "--format", "csv"
-        )
-        assert code == 0
-        header, row = out.strip().splitlines()
-        fields = dict(zip(header.split(","), row.split(",")))
-        assert fields["digits"] == "75"
-        assert float(fields["pool_size"]) == pytest.approx(24e73, rel=1e-9)
-        assert float(fields["filtered_prob"]) == pytest.approx(7.5 * float(fields["base_prob"]), rel=1e-6)
-
-    def test_range_table_skips_bounds_below_six_digits(self, capsys):
-        code, out, _ = run_cli(capsys, "density", "--digits", "2-6", "--format", "table")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 6  # header + 5 rows
-        assert "dusart_lower" in lines[0]
-        row2 = lines[1].split()
-        row6 = lines[5].split()
-        assert len(row2) == 5  # empty bound columns collapse in table mode
-        assert len(row6) == 7
-
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "density", "--digits", "6-7", "--format", "json")
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["mode"] == "corrected"
-        assert [row["digits"] for row in payload["rows"]] == [6, 7]
-
     def test_bad_range_is_usage_error(self, capsys):
         for digits in ("9-2", "1", "6-5", "5-", "-5", "a", "5-x", ""):
             code, out, err = run_cli(capsys, "density", "--digits", digits)
@@ -93,16 +64,6 @@ class TestDensityCommand:
 
 
 class TestConfidenceCommand:
-    def test_explicit_prior_reference_values(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "confidence", "--prior", "0.005781899", "--rounds", "4", "--format", "csv"
-        )
-        assert code == 0
-        header, row = out.strip().splitlines()
-        fields = dict(zip(header.split(","), row.split(",")))
-        assert float(fields["ratio"]) == pytest.approx(171.9535573, abs=1e-7)
-        assert float(fields["lower_bound"]) == pytest.approx(0.3283064, abs=1e-5)
-
     def test_rounds_for_target_column(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -114,11 +75,6 @@ class TestConfidenceCommand:
         fields = dict(zip(header.split(","), row.split(",")))
         assert code == 0
         assert fields["rounds_for_target"] == "10"
-
-    def test_negative_bound_rendered_as_uninformative(self, capsys):
-        code, out, _ = run_cli(capsys, "confidence", "--prior", "1e-9", "--rounds", "1")
-        assert code == 0
-        assert "lower_bound: < 0 (uninformative)" in out
 
     def test_out_of_range_prior_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "confidence", "--prior", "1.5", "--rounds", "4")
@@ -153,13 +109,6 @@ class TestTestCommand:
         assert lines[1].startswith("fermat[m=1]: PROBABLE_PRIME") and "false positive" in lines[1]
         assert lines[2] == "euler[m=1]: COMPOSITE (witness 139)"
         assert lines[3] == "miller_rabin[m=1]: COMPOSITE (witness 139)"
-
-    def test_prime_input(self, capsys):
-        code, out, _ = run_cli(capsys, "test", "97", "--rounds", "5", "--seed", "0")
-        assert code == 0
-        assert "trial_division: PRIME" in out
-        assert out.count("PROBABLE_PRIME") == 3
-        assert "false positive" not in out
 
     def test_unseeded_prime_input(self, capsys):
         code, out, _ = run_cli(capsys, "test", "97", "--rounds", "5")
@@ -207,13 +156,6 @@ class TestTestCommand:
 
 
 class TestExperimentCommand:
-    def test_byte_identical_runs(self, capsys):
-        args = ("experiment", "--digits", "20", "--count", "30", "--rounds", "8", "--seed", "99")
-        code_a, out_a, _ = run_cli(capsys, *args)
-        code_b, out_b, _ = run_cli(capsys, *args)
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
     def test_adjacent_seeds_share_no_candidates(self, capsys):
         numbers = []
         for seed in ("0", "1"):
@@ -223,40 +165,6 @@ class TestExperimentCommand:
             numbers.append({line.split()[0] for line in out.splitlines()[:100]})
         assert len(numbers[0]) == len(numbers[1]) == 100
         assert not numbers[0] & numbers[1]
-
-    def test_table_format_matches_figure_layout(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "experiment", "--digits", "75", "--count", "10", "--rounds", "10",
-            "--seed", "4", "--mode", "published",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        for line in lines[:10]:
-            number, label = line.split()
-            assert len(number) == 75
-            assert label in ("PRIME", "COMPOSITE")
-        assert any(line.startswith("confidence_lower_bound:") for line in lines)
-
-    def test_csv_format_sends_summary_to_stderr(self, capsys):
-        code, out, err = run_cli(
-            capsys, "experiment", "--digits", "8", "--count", "5", "--rounds", "6",
-            "--seed", "2", "--format", "csv",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "number,verdict,rounds_used,confidence_lower_bound"
-        assert len(lines) == 6
-        assert "probable_primes:" in err
-
-    def test_json_format_has_summary(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "experiment", "--digits", "8", "--count", "5", "--rounds", "6",
-            "--seed", "2", "--format", "json",
-        )
-        payload = json.loads(out)
-        assert code == 0
-        assert len(payload["records"]) == 5
-        assert payload["summary"]["seed"] == 2
 
     def test_unfiltered_policy_tests_even_candidates(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "--policy", "none", "--digits", "5", "--count", "5",
@@ -276,19 +184,6 @@ class TestExperimentCommand:
 
 
 class TestGenerateCommand:
-    def test_output_fields(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "generate", "--digits", "12", "--target-confidence", "0.999", "--seed", "8"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        value = int(lines[0])
-        assert len(str(value)) == 12
-        fields = dict(line.split(": ") for line in lines[1:])
-        assert float(fields["confidence_lower_bound"]) >= 0.999
-        assert int(fields["attempts"]) >= 1
-
-
     def test_unfiltered_policy_below_the_screen_bound(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "--policy", "none", "--digits", "4", "--seed", "2")
         assert code == 0
@@ -297,20 +192,6 @@ class TestGenerateCommand:
 
 
 class TestLabCommand:
-    def test_census_csv_columns(self, capsys):
-        code, out, _ = run_cli(capsys, "lab", "census", "--start", "9", "--end", "15")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,total_bases,fermat_liars,euler_liars,strong_liars"
-        assert lines[1] == "9,8,2,2,2"
-        assert lines[2] == "15,14,4,2,2"
-
-    def test_census_json(self, capsys):
-        code, out, _ = run_cli(capsys, "lab", "census", "--start", "9", "--end", "9", "--format", "json")
-        payload = json.loads(out)
-        assert code == 0
-        assert payload == [{"n": 9, "total_bases": 8, "fermat_liars": 2, "euler_liars": 2, "strong_liars": 2}]
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_census_bytes_match_the_whole_list_rendered_at_once(self, capsys, fmt):
         # ~2000 rows, so json spans more than one chunk of experiment.JSON_CHUNK_ROWS
@@ -356,9 +237,11 @@ class TestLabCommand:
         assert code == 0 and out.strip() == "false"
 
     def test_refusal_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "lab", "carmichael", "--limit", str(10**8))
-        assert code == 3
-        assert "refused" in err
+        # a scan past SCAN_CAP, and one number above trial division's bound
+        for argv in (f"carmichael --limit {10**8}", "sqrt-of-unity 1000000000001"):
+            code, out, err = run_cli(capsys, "lab", *argv.split())
+            assert code == 3
+            assert out == "" and "refused" in err
 
     def test_oversized_census_refused_before_any_row(self, capsys, monkeypatch):
         def census(n):
@@ -438,6 +321,9 @@ F11_WITNESS = (
 # CLI stdout bytes are part of the behaviour contract. These commands run all
 # three round tests through their drivers, the liar census, and every report
 # renderer: tables with padded and empty columns, csv, json and key: value lines.
+# These cases are the one pin of CLI stdout bytes: a check that needs a
+# command's exact stdout adds a case here, not a named test. A change that
+# moves output re-captures the cases it moves.
 GOLDEN = {
     "test 561 --rounds 3 --seed 1": """\
 trial_division: COMPOSITE (smallest factor 3)

@@ -339,14 +339,6 @@ class TestTrialDivision:
         monkeypatch.setattr(primality, "ORACLE_BOUND", 10**13)
         assert trial_division(10**12 + 1).outcome is ExactOutcome.COMPOSITE
 
-    def test_agreement_with_strong_test_on_random_odds(self):
-        rng = random.Random(2718)
-        for _ in range(1000):
-            n = rng.randrange(5, 10**9) | 1
-            exact_prime = trial_division(n).outcome is ExactOutcome.PRIME
-            probable_prime = miller_rabin(n, 10, make_stream(31, n)).is_probable_prime
-            assert exact_prime == probable_prime
-
 
 class TestFactorTable:
     def test_entries_against_the_sieve_oracle(self, prime_flags):

@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 
 import pytest
@@ -69,10 +68,6 @@ class TestLiarCensus:
         assert census.fermat_liars == 320  # phi(561) = 2 * 10 * 16
         assert census.euler_liars == 160
         assert census.strong_liars <= 560 // 4
-
-    @pytest.mark.parametrize("n", [9, 15, 21, 25, 49, 91, 561])
-    def test_against_round_test_census(self, n, liar_oracle):
-        assert liar_census(n) == census_via_oracle(n, liar_oracle)
 
     def test_matches_oracle_census_for_every_odd_composite_to_2000(self, prime_flags, liar_oracle):
         for n in odd_composites(2000, prime_flags):
@@ -156,9 +151,6 @@ class TestCensusRange:
 
 
 class TestFermatPseudoprimes:
-    def test_first_two_base_2(self):
-        assert fermat_pseudoprimes(2, 600) == [341, 561]
-
     def test_below_2000_base_2(self, prime_flags):
         found = fermat_pseudoprimes(2, 2000)
         assert found == [341, 561, 645, 1105, 1387, 1729, 1905]
@@ -314,9 +306,6 @@ class TestCarmichaelNumbers:
 
 
 class TestSqrtOfUnity:
-    def test_fifteen(self):
-        assert sqrt_of_unity(15) == [1, 4, 11, 14]
-
     def test_primes_have_exactly_plus_minus_one(self, prime_flags):
         flags = prime_flags(10**4)
         for p in (3, 5, 7, 97, 641, 9973):
@@ -383,11 +372,6 @@ def _distinct_prime_factors(n: int) -> list[int]:
 
 
 class TestAbsoluteEulerPseudoprimes:
-    def test_reference_values(self):
-        assert is_absolute_euler_pseudoprime(1729)
-        assert is_absolute_euler_pseudoprime(2465)
-        assert not is_absolute_euler_pseudoprime(561)  # base 5 gives 67
-
     def test_absolute_implies_every_coprime_base_lies(self):
         n = 1729
         for a in range(2, n - 1):
