@@ -4,8 +4,9 @@ Pure functions on Python ints: modular exponentiation and two-adic
 decomposition. Modular exponentiation runs on GMP's mpz_powm when the
 GMP shared library loads and the modulus is large enough to pay for the
 foreign calls, and on builtin three-argument pow otherwise; both give
-the same exact integer. No shared state: every mpz lives inside one
-call, so every function is safe to call from any number of threads.
+the same exact integer. No shared state: each thread owns its operands,
+four GMP integers made on its first GMP modexp and cleared when it ends,
+so every function is safe to call from any number of threads.
 
 Each call through a ctypes CDLL releases the GIL until it returns, so
 an mpz_powm on one thread runs alongside the other threads' modexps;
@@ -17,16 +18,22 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import sys
+import threading
+import weakref
 
 # Sonames handed to CDLL in order (Linux, then macOS). A fixed list, so that
 # loading runs no ldconfig or compiler as ctypes.util.find_library would.
 GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 
-# Smallest modulus, in bits, that goes through GMP. Thirteen foreign calls and
-# the conversions cost ~15 us per modexp, so with exponent n - 1 the crossover
-# is near 64 bits: builtin pow 6.8 / 20 / 39 us at 32 / 64 / 100 bits, the GMP
-# path 18 / 19 / 24 us (GMP 6.2.1, Python 3.11, x86-64, min of 7 timeit runs).
-GMP_MIN_BITS = 64
+# Smallest modulus, in bits, that goes through GMP. Five foreign calls (three
+# mpz_import, mpz_powm, the string_at that reads the result) and the conversions
+# cost ~7 us per modexp, so with exponent n - 1 the crossover is near 44 bits:
+# builtin pow 6.8 / 16 / 31 us at 32 / 64 / 100 bits, the GMP path 8.1 / 8.1 /
+# 9.2 us (GMP 6.2.1, Python 3.11, x86-64, min of 7 timeit runs). GMP time over
+# builtin, median of 21 interleaved pairs: 1.09 at 40 bits, 0.96 at 44, 0.88 at
+# 48, where GMP was faster in 20 of 21.
+GMP_MIN_BITS = 48
 
 
 class _Mpz(ctypes.Structure):
@@ -43,48 +50,71 @@ _GMP_FUNCTIONS = (
     # rop, count, order, size, endian, nails, op
     ("__gmpz_import", [_MPZ, ctypes.c_size_t, ctypes.c_int, ctypes.c_size_t, ctypes.c_int, ctypes.c_size_t,
                        ctypes.c_char_p], None),
-    # rop, countp, order, size, endian, nails, op
-    ("__gmpz_export", [ctypes.c_char_p, ctypes.POINTER(ctypes.c_size_t), ctypes.c_int, ctypes.c_size_t,
-                       ctypes.c_int, ctypes.c_size_t, _MPZ], ctypes.c_void_p),
     ("__gmpz_powm", [_MPZ, _MPZ, _MPZ, _MPZ], None),
 )
 
 
 @functools.cache
 def _libgmp() -> ctypes.CDLL | None:
-    """libgmp with _GMP_FUNCTIONS declared, or None when no soname loads."""
+    """libgmp with _GMP_FUNCTIONS declared and limb_bytes set, or None when
+    no soname loads or the host is big-endian.
+
+    _gmp_pow reads a result's limbs as one little-endian byte string, which
+    is its value only on a little-endian host.
+    """
+    if sys.byteorder != "little":
+        return None
     for soname in GMP_SONAMES:
         try:
             lib = ctypes.CDLL(soname)
             for name, argtypes, restype in _GMP_FUNCTIONS:
                 fn = getattr(lib, name)
                 fn.argtypes, fn.restype = argtypes, restype
-        except (OSError, AttributeError):  # not found, or a library without these symbols
+            lib.limb_bytes = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value // 8
+        except (OSError, AttributeError, ValueError):  # not found, or a library without these symbols
             continue
         return lib
     return None
 
 
+class _Operands:
+    """One thread's result, base, exponent and modulus mpz_t.
+
+    Initialized once; mpz_import and mpz_powm grow their limbs as needed.
+    Between calls the thread's slot in _thread holds the only reference,
+    so the four are cleared when the thread ends. Not at interpreter exit: a daemon
+    thread may still be inside mpz_powm then, and the process frees all.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        # getattr: a class body would mangle lib.__gmpz_init to lib._Operands__gmpz_init
+        init, clear = getattr(lib, "__gmpz_init"), getattr(lib, "__gmpz_clear")
+        self.mpz = mpz = [_Mpz() for _ in range(4)]
+        for z in mpz:
+            init(z)
+        weakref.finalize(self, lambda: [clear(z) for z in mpz]).atexit = False
+
+
+_thread = threading.local()  # .operands: the thread's _Operands, made on its first GMP modexp
+
+
 def _gmp_pow(lib: ctypes.CDLL, base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus through mpz_powm, for base >= 0 and modulus >= 2.
 
-    Integers cross as little-endian byte strings; CDLL releases the GIL
-    for the duration of each call.
+    Operands cross as little-endian byte strings into the thread's own
+    mpz_t; the result is read straight from its limbs. CDLL releases the
+    GIL for the duration of each call.
     """
-    result, *operands = mpz = [_Mpz() for _ in range(4)]
-    for z in mpz:
-        lib.__gmpz_init(z)
     try:
-        for z, value in zip(operands, (base, exponent, modulus)):
-            data = value.to_bytes((value.bit_length() + 7) // 8, "little")
-            lib.__gmpz_import(z, len(data), -1, 1, 0, 0, data)
-        lib.__gmpz_powm(result, *operands)
-        out = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)  # the result is below modulus
-        lib.__gmpz_export(out, None, -1, 1, 0, 0, result)  # a NULL countp discards the byte count
-        return int.from_bytes(out.raw, "little")  # the unwritten high bytes stay zero
-    finally:
-        for z in mpz:
-            lib.__gmpz_clear(z)
+        operands = _thread.operands
+    except AttributeError:
+        operands = _thread.operands = _Operands(lib)
+    result, *inputs = operands.mpz
+    for z, value in zip(inputs, (base, exponent, modulus)):
+        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
+        lib.__gmpz_import(z, len(data), -1, 1, 0, 0, data)
+    lib.__gmpz_powm(result, *inputs)
+    return int.from_bytes(ctypes.string_at(result.limbs, result.size * lib.limb_bytes), "little")
 
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:

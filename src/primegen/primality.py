@@ -22,11 +22,12 @@ from .errors import RefusalError
 from .sampling import Stream
 
 # Smallest n, in bits, whose bases after the first have their chains computed
-# concurrently. mpz_powm releases the GIL, but each modexp makes 13 foreign
-# calls and the threads hand the GIL back and forth at each, which costs more
-# than the overlap gains on small moduli. compare_tests(p, 10) on a prime p, 10
-# seeds per side, pool against one chain at a time, in alternating pairs (2 CPUs,
-# x86-64, GMP 6.2.1, Python 3.11); pool wins at 512/768/1024/1152/1280/1536 bits:
+# concurrently. mpz_powm releases the GIL, but each modexp makes 5 foreign
+# calls, 4 of them through CDLL, and the threads hand the GIL back and forth at
+# each of those 4, which costs more than the overlap gains on small moduli.
+# compare_tests(p, 10) on a prime p, 10 seeds per side, pool against one chain at
+# a time, in alternating pairs (2 CPUs, x86-64, GMP 6.2.1, Python 3.11, measured
+# when a modexp made 13 foreign calls); pool wins at 512/768/1024/1152/1280/1536 bits:
 # 0/20 (x0.74), 8/20 (x0.96), 26/40 (x1.14), 45/50 (x1.34), 67/70 (x1.24-1.44),
 # 49/50 (x1.39-1.50). The least of 768/1024/1280/1536 bits winning 9 in 10; 1152 just did.
 PARALLEL_MIN_BITS = 1280

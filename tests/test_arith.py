@@ -116,6 +116,61 @@ class TestGmpKernel:
         assert not any(t.is_alive() for t in threads)
         assert results == [[x] * 3 for x in expected]
 
+    def test_operands_that_shrink_leave_no_stale_limbs(self):
+        # one thread keeps its operands across calls: a 4096-bit call grows
+        # them, then a 65-bit call and a zero result must read only their own limbs
+        big = (1 << 4095) + 1155
+        small = (1 << 64) + 13
+        calls = [(3, big - 1, big), (5, small - 1, small), (7 * small, small - 2, small)]
+        results = []
+        thread = threading.Thread(target=lambda: results.extend(mod_pow(*call) for call in calls))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results == [pow(*call) for call in calls]
+        assert results[2] == 0
+
+    @pytest.mark.skipif(not GMP_LOADS, reason="libgmp does not load on this host")
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the resident set from /proc")
+    def test_threads_that_end_keep_no_operands(self):
+        # Each thread's operands must be cleared when it ends. 300 threads run
+        # one after another, at most one alive; each makes a 2048-bit call and
+        # one with a 32 KB exponent, so kept operands would hold ~10 MB.
+        # stderr must stay empty: a finalizer that raises, at thread end or at
+        # exit, prints "Exception ignored".
+        code = """if True:
+            import os, random, threading
+            from primegen.arith import mod_pow
+
+            def resident():
+                with open("/proc/self/statm") as fh:
+                    return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+            rng = random.Random(1)
+            n = rng.getrandbits(2048) | 1 << 2047 | 1
+            long_call = (3, rng.getrandbits(1 << 18), rng.getrandbits(64) | 1 << 63 | 1)
+            long_result = pow(*long_call)
+
+            def run(count):
+                for _ in range(count):
+                    a = rng.getrandbits(2048)
+                    results = []
+                    t = threading.Thread(target=lambda: results.extend([mod_pow(a, 65537, n), mod_pow(*long_call)]))
+                    t.start()
+                    t.join(timeout=60)
+                    assert not t.is_alive() and results == [pow(a, 65537, n), long_result]
+
+            run(20)
+            before = resident()
+            run(300)
+            print(resident() - before)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert int(proc.stdout) < 4 << 20
+
     @pytest.mark.skipif(not GMP_LOADS, reason="libgmp does not load on this host")
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the resident set from /proc")
     def test_no_memory_kept_across_calls(self):
