@@ -2,7 +2,9 @@
 
 Prime-number-theorem approximations to pi(x), the d-digit prime count,
 Dusart's explicit pi(x) bounds, and the prior probability that a
-filtered candidate is prime.
+filtered candidate is prime. The single-row counts are Decimals; the
+density table reads float mantissas at each row's decade from
+digit_prime_mantissas, closed forms of the same differences.
 
 A filter policy keeps the integers coprime to its wheel modulus W, a
 fraction phi(W)/W of them, and no prime above 5 is lost, so the exact
@@ -18,7 +20,6 @@ import math
 from collections.abc import Iterator
 from decimal import Decimal
 from enum import Enum
-from itertools import pairwise
 
 from .sampling import FilterPolicy
 
@@ -37,11 +38,7 @@ def pnt_estimate(x: "int | float | Decimal") -> Decimal:
     value = Decimal(x)
     if not (value.is_finite() and value >= 2):
         raise ValueError("x must be a finite number >= 2")
-    return _pnt(value, value.ln())
-
-
-def _pnt(value: Decimal, ln_x: Decimal) -> Decimal:
-    return value / ln_x
+    return value / value.ln()
 
 
 def digit_prime_count(k: int) -> Decimal:
@@ -49,7 +46,9 @@ def digit_prime_count(k: int) -> Decimal:
 
     Algebraically equal to 10^(k-1) (9k-10) / (ln 10 k(k-1)).
     """
-    return next(digit_prime_counts(k, k))[0]
+    if k < 2:
+        raise ValueError("digit count must be >= 2")
+    return pnt_estimate(Decimal(10) ** k) - pnt_estimate(Decimal(10) ** (k - 1))
 
 
 def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
@@ -57,10 +56,7 @@ def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
     value = Decimal(x)
     if not (value.is_finite() and value >= DUSART_MIN):
         raise ValueError(f"bounds require a finite x >= {DUSART_MIN}")
-    return _dusart(value, value.ln())
-
-
-def _dusart(value: Decimal, ln_x: Decimal) -> tuple[Decimal, Decimal]:
+    ln_x = value.ln()
     return value / (ln_x - 1), value / (ln_x - Decimal("1.1"))
 
 
@@ -73,29 +69,22 @@ def digit_prime_count_bounds(k: int) -> tuple[Decimal, Decimal]:
     """
     if k < 6:
         raise ValueError("digit count must be >= 6 for a valid bracket")
-    return next(digit_prime_counts(k, k))[1:]
+    (top_low, top_up), (bot_low, bot_up) = dusart_bounds(Decimal(10) ** k), dusart_bounds(Decimal(10) ** (k - 1))
+    return top_low - bot_up, top_up - bot_low
 
 
-def _decade(j: int) -> tuple[Decimal, Decimal, Decimal]:
-    """pnt_estimate and the two dusart_bounds of x = 10^j, from one ln x.
+def digit_prime_mantissas(lo: int, hi: int) -> Iterator[tuple[float, float, float]]:
+    """digit_prime_count(k) and both digit_prime_count_bounds(k) over 10^(k-1), for k = lo..hi, lo >= 2.
 
-    The Dusart pair is a valid bracket only for 10^j >= DUSART_MIN.
-    """
-    value = Decimal(10) ** j
-    ln_x = value.ln()
-    return _pnt(value, ln_x), *_dusart(value, ln_x)
-
-
-def digit_prime_counts(lo: int, hi: int) -> Iterator[tuple[Decimal, Decimal, Decimal]]:
-    """(digit_prime_count(k), *digit_prime_count_bounds(k)) for k = lo..hi, lo >= 2.
-
-    Rows k - 1 and k share the decade 10^(k-1), so each decade is worked
-    out once. The bounds are meaningful only from k = 6 on.
+    Float closed forms: with a = k ln 10 and b = (k-1) ln 10 the count is
+    10/a - 1/b, and the bracket 10/(a-1) - 1/(b-1.1) to 10/(a-1.1) - 1/(b-1).
+    The bracket is meaningful only from k = 6 on.
     """
     if lo < 2:
         raise ValueError("digit count must be >= 2")
-    for (bot_pnt, bot_low, bot_up), (top_pnt, top_low, top_up) in pairwise(map(_decade, range(lo - 1, hi + 1))):
-        yield top_pnt - bot_pnt, top_low - bot_up, top_up - bot_low
+    for k in range(lo, hi + 1):
+        a, b = k * LN10, (k - 1) * LN10
+        yield 10 / a - 1 / b, 10 / (a - 1) - 1 / (b - 1.1), 10 / (a - 1.1) - 1 / (b - 1)
 
 
 def base_prime_prob(k: int) -> float:

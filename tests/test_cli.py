@@ -9,7 +9,8 @@ import pytest
 
 from primegen import arith, cli, experiment, primality, pseudolab
 from primegen.cli import build_parser, main
-from primegen.sampling import FilterPolicy
+from primegen.density import digit_prime_count, digit_prime_count_bounds
+from primegen.sampling import FilterPolicy, pool_size
 
 
 def run_cli(capsys, *argv):
@@ -41,10 +42,28 @@ class TestDensityCommand:
             raise AssertionError(f"rows {lo}-{hi} computed before the refusal")
             yield
 
-        monkeypatch.setattr(cli, "digit_prime_counts", counts)
+        monkeypatch.setattr(cli, "digit_prime_mantissas", counts)
         code, out, err = run_cli(capsys, "density", "--digits", digits)
         assert code == 3
         assert out == "" and "refused" in err
+
+    def test_table_prints_the_decimal_rows_at_every_admitted_size(self, capsys):
+        # the table's float closed forms, printed, against the Decimal single-row API
+        def at(value, k):
+            return f"{float(value.scaleb(1 - k)):.9f}e{k - 1:+d}"
+
+        def counts(k):
+            bounds = [at(v, k) for v in digit_prime_count_bounds(k)] if k >= 6 else ["", ""]
+            return [str(k), at(digit_prime_count(k), k), *bounds]
+
+        cap = cli.DENSITY_DIGIT_CAP
+        expected = [counts(k) for k in range(2, cap + 1)]
+        for policy in FilterPolicy:
+            code, out, _ = run_cli(capsys, "density", "--digits", f"2-{cap}", "--policy", policy.label, "--format", "csv")
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [row[:1] + row[2:5] for row in rows] == expected
+            assert [row[1] for row in rows] == [at(pool_size(k, policy), k) for k in range(2, cap + 1)]
 
     def test_published_density_above_one_noted_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, *"density --digits 2-4 --mode published --format csv".split())
