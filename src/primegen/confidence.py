@@ -60,12 +60,15 @@ def bayes_confidence(prior_p: float, rounds: int) -> ConfidenceReport:
 def rounds_for_confidence(prior_p: float, target: float) -> int:
     """Smallest m >= 1 whose lower bound reaches `target`.
 
-    A plain upward search: 4^-m underflows to 0 by m = 538, where the
-    bound of any finite prior odds is 1.0, so the loop always ends.
+    A plain upward search on bayes_confidence's own float expression for
+    the bound, 1 - ratio * 4^-m, with the prior checked once: 4^-m
+    underflows to 0 by m = 538, where the bound of any finite prior odds
+    is 1.0, so the loop always ends.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
+    ratio = bayes_confidence(prior_p, 1).ratio
     m = 1
-    while bayes_confidence(prior_p, m).lower_bound < target:
+    while 1.0 - ratio * STRONG_ROUND_ERROR**m < target:
         m += 1
     return m

@@ -2,9 +2,10 @@
 
 Three single-round tests (Fermat, Euler, Miller-Rabin) that read one
 squaring chain, one driver running any set of them on one chain per base,
-exact trial division for small inputs, and a one-gcd screen for prime
-factors up to SMALL_PRIME_BOUND. Composite verdicts always carry evidence
-and are never wrong; only "probable prime" can be a false positive.
+exact trial division for small inputs, and a two-stage gcd screen for
+prime factors up to SMALL_PRIME_BOUND. Composite verdicts always carry
+evidence and are never wrong; only "probable prime" can be a false
+positive.
 """
 
 from __future__ import annotations
@@ -267,13 +268,18 @@ def factor_table(limit: int) -> array:
 
 SMALL_PRIME_BOUND = 2000
 SMALL_PRIMES_PRODUCT = math.prod(p for p, f in enumerate(factor_table(SMALL_PRIME_BOUND)) if p >= 2 and not f)
+# The primes after the mod-30 wheel's 2, 3, 5 whose product, 215656441 < 2^30, fits one CPython digit.
+FIRST_STAGE_PRODUCT = 7 * 11 * 13 * 17 * 19 * 23 * 29
 
 
 def has_small_factor(n: int) -> bool:
     """True iff n > SMALL_PRIME_BOUND has a prime factor <= SMALL_PRIME_BOUND.
 
-    One gcd against the product of those primes, far cheaper than a
-    modexp. Never true for a prime; n <= SMALL_PRIME_BOUND is left to
-    the caller's other tests.
+    Two gcds, far cheaper than a modexp: n's one-digit remainder against
+    FIRST_STAGE_PRODUCT, then, for the numbers that pass, n against the
+    product of all those primes. Never true for a prime; n <=
+    SMALL_PRIME_BOUND is left to the caller's other tests.
     """
-    return n > SMALL_PRIME_BOUND and math.gcd(n, SMALL_PRIMES_PRODUCT) > 1
+    return n > SMALL_PRIME_BOUND and (
+        math.gcd(n % FIRST_STAGE_PRODUCT, FIRST_STAGE_PRODUCT) > 1 or math.gcd(n, SMALL_PRIMES_PRODUCT) > 1
+    )

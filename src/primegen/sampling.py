@@ -48,9 +48,10 @@ def _digit_range(digits: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=128)
-def _pool_count(digits: int, policy: FilterPolicy) -> int:
-    """Members of the d-digit pool: 9*10^(d-1)/W whole wheel periods of phi(W) each."""
-    return 9 * _digit_range(digits)[0] // policy.wheel * len(policy.offsets)
+def _pool_count(digits: int, wheel: int) -> int:
+    """Members of the d-digit pool: 9*10^(d-1)/W whole wheel periods of phi(W) each.
+    Keyed by W: an int hashes in C, an enum member through Enum.__hash__."""
+    return 9 * _digit_range(digits)[0] // wheel * len(FilterPolicy(wheel).offsets)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def random_candidate(digits: int, policy: FilterPolicy, rng: Stream) -> Candidat
     """
     if digits < 2:
         raise ValueError("digit count must be >= 2; the 1-digit pool is degenerate")
-    period, k = divmod(rng.randrange(_pool_count(digits, policy)), len(policy.offsets))
+    period, k = divmod(rng.randrange(_pool_count(digits, policy.wheel)), len(policy.offsets))
     return Candidate(_digit_range(digits)[0] + policy.wheel * period + policy.offsets[k], digits)
 
 

@@ -90,6 +90,18 @@ class TestRoundsForConfidence:
                 if m > 1:
                     assert bayes_confidence(prior, m - 1).lower_bound < target
 
+    def test_equals_the_report_based_search(self):
+        def by_report(prior, target):
+            m = 1
+            while bayes_confidence(prior, m).lower_bound < target:
+                m += 1
+            return m
+
+        for prior in (1e-300, 1e-100, 1e-9, 1e-4, 0.0057, 0.0163, 0.0433, 0.2, 0.5, 0.7, 0.9, 0.999):
+            for target in (0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.999999, 1 - 1e-9, 1 - 1e-12, 1 - 1e-15,
+                           0.9999999999999999):
+                assert rounds_for_confidence(prior, target) == by_report(prior, target), (prior, target)
+
     def test_matches_closed_form(self):
         for prior in (0.01, 0.043364243, 0.5):
             for target in (0.9, 0.999):

@@ -146,8 +146,7 @@ class TestGeneratePrime:
 
         cases = [(digits, seed) for digits in (20, 75, 100) for seed in range(20)]
         screened = [outcome(*case) for case in cases]
-        monkeypatch.setattr(primality, "SMALL_PRIMES_PRODUCT", 1)
-        assert not primality.has_small_factor(3 * 10**20)
+        monkeypatch.setattr(experiment, "has_small_factor", lambda n: False)
         assert [outcome(*case) for case in cases] == screened
 
     def test_small_digit_sizes_around_the_screen_bound(self):

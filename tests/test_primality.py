@@ -358,8 +358,35 @@ class TestSmallPrimeScreen:
         flags = prime_flags(SMALL_PRIME_BOUND)
         assert primality.SMALL_PRIMES_PRODUCT == math.prod(p for p in range(SMALL_PRIME_BOUND + 1) if flags[p])
 
-    def test_rejects_exactly_the_numbers_with_a_small_factor(self):
-        for n in range(SMALL_PRIME_BOUND + 1, 10**5 + 1):
-            verdict = trial_division(n)
-            small = verdict.outcome is ExactOutcome.COMPOSITE and verdict.smallest_factor <= SMALL_PRIME_BOUND
-            assert has_small_factor(n) == small, n
+    def test_first_stage_is_one_digit_of_primes_up_to_the_bound(self):
+        assert primality.FIRST_STAGE_PRODUCT < 2**30
+        assert primality.SMALL_PRIMES_PRODUCT % primality.FIRST_STAGE_PRODUCT == 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 23, 29, 31, 1999, 2003])
+    def test_a_large_prime_times_p(self, p):
+        # 7..29 make up the first stage; 3, 5, 31 and 1999 are found by the second, 2003 by neither
+        q = 2**521 - 1  # a Mersenne prime
+        assert has_small_factor(p * q) == (p <= SMALL_PRIME_BOUND)
+        assert not has_small_factor(q)
+
+    @pytest.mark.parametrize("digits", [100, 309, 617])
+    def test_seeded_odd_numbers_agree_with_one_gcd(self, digits):
+        rng = random.Random(digits)
+        outcomes = set()
+        for _ in range(1000):
+            n = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            screened = has_small_factor(n)
+            assert screened == (math.gcd(n, primality.SMALL_PRIMES_PRODUCT) > 1), n
+            outcomes.add(screened)
+        assert outcomes == {False, True}
+
+    def test_rejects_exactly_the_numbers_with_a_small_factor(self, prime_flags):
+        limit = 10**6
+        flags = prime_flags(SMALL_PRIME_BOUND)
+        small = bytearray(limit + 1)
+        for p in range(SMALL_PRIME_BOUND + 1):
+            if flags[p]:
+                small[p::p] = b"\x01" * (limit // p)
+        start = SMALL_PRIME_BOUND + 1
+        screened = bytes(map(has_small_factor, range(start, limit + 1)))
+        assert screened == small[start:], [start + i for i, b in enumerate(screened) if b != small[start + i]][:10]
