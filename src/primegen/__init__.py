@@ -48,7 +48,7 @@ from .pseudolab import (
     liar_census,
     sqrt_of_unity,
 )
-from .sampling import Candidate, FilterPolicy, make_stream, passes_filter, pool_size, random_candidate
+from .sampling import Candidate, FilterPolicy, make_stream, pool_size, random_candidate
 from .scireal import SciReal
 
 __version__ = "0.1.0"
@@ -89,7 +89,6 @@ __all__ = [
     "miller_rabin_round",
     "mod_pow",
     "mr_transcript",
-    "passes_filter",
     "pnt_estimate",
     "pool_size",
     "random_candidate",

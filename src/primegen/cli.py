@@ -225,7 +225,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
     digits = _parse_digit_range(args.digits)
     if digits[-1] > DENSITY_DIGIT_CAP:
         raise RefusalError(f"density table capped at {DENSITY_DIGIT_CAP} digits, got {digits[-1]}")
-    pool = f"{float(pool_size(2, policy).scaleb(-1)):.9f}"  # 9·φ(W)/W at every decade
+    pool = f"{pool_size(2, policy) / 10:.9f}"  # 9·φ(W)/W at every decade
     rows = []
     for k, (count, lower, upper) in zip(digits, digit_prime_mantissas(digits[0], digits[-1])):
         exp = f"e{k - 1:+d}"

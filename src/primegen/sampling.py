@@ -5,7 +5,9 @@ digital roots 3, 6, 9, that is, they drop multiples of 2 and 5 and then
 multiples of 3. What survives is exactly the integers coprime to the
 wheel modulus W = 10 (last digit only) or W = 30 (both filters); W = 1
 keeps everything. So each filter policy is one modulus, and a candidate
-is one draw from the residues coprime to it.
+is one draw from the residues coprime to it. The draw's arithmetic keeps
+every candidate inside the d-digit range and coprime to W; a test pins
+that at both ends of every pool, so Candidate makes no check of its own.
 
 A seeded stream (KeyedStream) reads SHAKE-256 (FIPS 202) keyed by seed
 and index, so seeded runs are independent as far as SHAKE-256 is a
@@ -19,7 +21,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
 from hashlib import shake_256
 
@@ -42,36 +43,22 @@ class FilterPolicy(Enum):
 
 
 @functools.lru_cache(maxsize=128)
-def _digit_range(digits: int) -> tuple[int, int]:
-    """[10^(d-1), 10^d) as its two ends, worked out once per digit count."""
-    return 10 ** (digits - 1), 10**digits
-
-
-@functools.lru_cache(maxsize=128)
-def _pool_count(digits: int, wheel: int) -> int:
-    """Members of the d-digit pool: 9*10^(d-1)/W whole wheel periods of phi(W) each.
-    Keyed by W: an int hashes in C, an enum member through Enum.__hash__."""
-    return 9 * _digit_range(digits)[0] // wheel * len(FilterPolicy(wheel).offsets)
+def _pool(digits: int, wheel: int) -> tuple[int, int]:
+    """10^(d-1) and the d-digit pool's size: 9*10^(d-1)/W whole wheel periods
+    of phi(W) members each. Keyed by W: an int hashes in C, an enum member
+    through Enum.__hash__."""
+    if digits < 2:
+        raise ValueError("digit count must be >= 2; the 1-digit pool is degenerate")
+    low = 10 ** (digits - 1)
+    return low, 9 * low // wheel * len(FilterPolicy(wheel).offsets)
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """A d-digit integer."""
+    """A d-digit pool member. The draw guarantees it and a test pins that; nothing re-checks it."""
 
     n: int
     digits: int
-
-    def __post_init__(self) -> None:
-        low, high = _digit_range(self.digits)
-        if not low <= self.n < high:
-            raise ValueError(f"{self.n} does not have exactly {self.digits} digits")
-
-
-def passes_filter(n: int, policy: FilterPolicy) -> bool:
-    """True iff n survives the policy's filters, i.e. n is coprime to its wheel."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.gcd(n, policy.wheel) == 1
 
 
 class KeyedStream:
@@ -150,14 +137,11 @@ def random_candidate(digits: int, policy: FilterPolicy, rng: Stream) -> Candidat
     periods, so one uniform draw below the pool count, split into a
     period and a coprime offset within it, gives a uniform pool member.
     """
-    if digits < 2:
-        raise ValueError("digit count must be >= 2; the 1-digit pool is degenerate")
-    period, k = divmod(rng.randrange(_pool_count(digits, policy.wheel)), len(policy.offsets))
-    return Candidate(_digit_range(digits)[0] + policy.wheel * period + policy.offsets[k], digits)
+    low, size = _pool(digits, policy.wheel)
+    period, k = divmod(rng.randrange(size), len(policy.offsets))
+    return Candidate(low + policy.wheel * period + policy.offsets[k], digits)
 
 
-def pool_size(digits: int, policy: FilterPolicy) -> Decimal:
+def pool_size(digits: int, policy: FilterPolicy) -> int:
     """Exact count of d-digit integers surviving the policy: 9*10^(d-1)/W * phi(W)."""
-    if digits < 2:
-        raise ValueError("digit count must be >= 2")
-    return Decimal(9 * len(policy.offsets)).scaleb(digits - 1) / policy.wheel
+    return _pool(digits, policy.wheel)[1]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -63,7 +64,7 @@ class TestDensityCommand:
             assert code == 0
             rows = [line.split(",") for line in out.splitlines()[1:]]
             assert [row[:1] + row[2:5] for row in rows] == expected
-            assert [row[1] for row in rows] == [at(pool_size(k, policy), k) for k in range(2, cap + 1)]
+            assert [row[1] for row in rows] == [at(Decimal(pool_size(k, policy)), k) for k in range(2, cap + 1)]
 
     def test_published_density_above_one_noted_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, *"density --digits 2-4 --mode published --format csv".split())

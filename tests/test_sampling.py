@@ -9,10 +9,8 @@ import pytest
 from primegen import sampling
 from primegen.sampling import (
     MAX_SEED,
-    Candidate,
     FilterPolicy,
     make_stream,
-    passes_filter,
     pool_size,
     random_candidate,
 )
@@ -24,7 +22,7 @@ POLICIES = (NONE, LAST, BOTH)
 
 
 def enumerate_pool(digits: int, policy: FilterPolicy) -> list[int]:
-    return [n for n in range(10 ** (digits - 1), 10**digits) if passes_filter(n, policy)]
+    return [n for n in range(10 ** (digits - 1), 10**digits) if math.gcd(n, policy.wheel) == 1]
 
 
 def digit_sum_root(n: int) -> int:
@@ -57,21 +55,6 @@ class TestFilterPolicy:
     def test_wheel_members_are_the_paper_pool(self, digits, policy):
         span = range(10 ** (digits - 1), 10**digits)
         assert enumerate_pool(digits, policy) == [n for n in span if paper_filters(n, policy)]
-
-
-class TestPassesFilter:
-    def test_worked_examples(self):
-        assert not passes_filter(561, BOTH)  # ends in 1 but dr(561) = 3
-        assert passes_filter(341, BOTH)  # ends in 1, dr = 8
-        assert not passes_filter(15, BOTH)  # ends in 5
-
-    def test_no_filters_accepts_everything(self):
-        for n in (1, 2, 10, 561, 900, 10**20):
-            assert passes_filter(n, NONE)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            passes_filter(0, BOTH)
 
 
 class TestPoolSize:
@@ -179,9 +162,31 @@ class TestRandomCandidate:
 
 
 class TestCandidate:
-    def test_mismatched_attributes_rejected(self):
-        with pytest.raises(ValueError):
-            Candidate(n=341, digits=4)
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.label)
+    def test_lowest_and_highest_draws_are_the_pool_ends(self, policy):
+        # Candidate does not check its range: the draw's arithmetic keeps it,
+        # so the lowest and highest draw below the pool size must be the
+        # first and last pool members of the d-digit range
+        class Ends:
+            """randrange(k) returns 0, then k - 1, and records each k."""
+
+            def __init__(self):
+                self.sizes = []
+
+            def randrange(self, k):
+                self.sizes.append(k)
+                return 0 if len(self.sizes) == 1 else k - 1
+
+        w = policy.wheel
+        for digits in (*range(2, 41), 4300):
+            stream = Ends()
+            low = random_candidate(digits, policy, stream)
+            high = random_candidate(digits, policy, stream)
+            assert stream.sizes == [pool_size(digits, policy)] * 2
+            assert (low.n, high.n) == (10 ** (digits - 1) + policy.offsets[0], 10**digits - w + policy.offsets[-1])
+            for c in (low, high):
+                assert c.digits == digits and 10 ** (digits - 1) <= c.n < 10**digits
+                assert math.gcd(c.n, w) == 1
 
 
 class TestMakeStream:
