@@ -6,7 +6,10 @@ GMP shared library loads and the modulus is large enough to pay for the
 foreign calls, and on builtin three-argument pow otherwise; both give
 the same exact integer. No shared state: each thread owns its operands,
 four GMP integers made on its first GMP modexp and cleared when it ends,
-so every function is safe to call from any number of threads.
+so every function is safe to call from any number of threads. Operands
+are copied straight into the limbs GMP allocated for them, and a modexp
+with the exponent and modulus of the thread's last one writes only its
+base.
 
 Each call through a ctypes CDLL releases the GIL until it returns, so
 an mpz_powm on one thread runs alongside the other threads' modexps;
@@ -26,14 +29,15 @@ import weakref
 # loading runs no ldconfig or compiler as ctypes.util.find_library would.
 GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 
-# Smallest modulus, in bits, that goes through GMP. Five foreign calls (three
-# mpz_import, mpz_powm, the string_at that reads the result) and the conversions
-# cost ~7 us per modexp, so with exponent n - 1 the crossover is near 44 bits:
-# builtin pow 6.8 / 16 / 31 us at 32 / 64 / 100 bits, the GMP path 8.1 / 8.1 /
-# 9.2 us (GMP 6.2.1, Python 3.11, x86-64, min of 7 timeit runs). GMP time over
-# builtin, median of 21 interleaved pairs: 1.09 at 40 bits, 0.96 at 44, 0.88 at
-# 48, where GMP was faster in 20 of 21.
-GMP_MIN_BITS = 48
+# Smallest modulus, in bits, that goes through GMP. A modexp makes three to five
+# foreign calls (a memmove into the limbs of each operand written, mpz_powm, the
+# string_at that reads the result); with the conversions they cost ~5 us over the
+# bare mpz_powm, ~3 us when only the base is written. GMP time over builtin pow,
+# exponent n - 1 and a new n per call, median of 21 interleaved pairs, two runs
+# (GMP 6.2.1, Python 3.11, x86-64): 0.83 / 0.86 / 0.60 / 0.55 at 32 / 40 / 44 / 48
+# bits with GMP faster in 18 / 18 / 21 / 21 of 21, then 0.84 / 0.67 / 0.60 / 0.55
+# with 21 of 21 at each. 44 is the least size that won 20 of 21 in both runs.
+GMP_MIN_BITS = 44
 
 
 class _Mpz(ctypes.Structure):
@@ -47,9 +51,7 @@ _MPZ = ctypes.POINTER(_Mpz)
 _GMP_FUNCTIONS = (
     ("__gmpz_init", [_MPZ], None),
     ("__gmpz_clear", [_MPZ], None),
-    # rop, count, order, size, endian, nails, op
-    ("__gmpz_import", [_MPZ, ctypes.c_size_t, ctypes.c_int, ctypes.c_size_t, ctypes.c_int, ctypes.c_size_t,
-                       ctypes.c_char_p], None),
+    ("__gmpz_realloc2", [_MPZ, ctypes.c_ulong], None),  # room for this many bits; the value is overwritten next
     ("__gmpz_powm", [_MPZ, _MPZ, _MPZ, _MPZ], None),
 )
 
@@ -78,9 +80,10 @@ def _libgmp() -> ctypes.CDLL | None:
 
 
 class _Operands:
-    """One thread's result, base, exponent and modulus mpz_t.
+    """One thread's result, base, exponent and modulus mpz_t, and the exponent
+    and modulus of its last modexp, which the last two still hold.
 
-    Initialized once; mpz_import and mpz_powm grow their limbs as needed.
+    Initialized once; _set_mpz and mpz_powm grow their limbs as needed.
     Between calls the thread's slot in _thread holds the only reference,
     so the four are cleared when the thread ends. Not at interpreter exit: a daemon
     thread may still be inside mpz_powm then, and the process frees all.
@@ -92,28 +95,46 @@ class _Operands:
         self.mpz = mpz = [_Mpz() for _ in range(4)]
         for z in mpz:
             init(z)
+        self.exponent = self.modulus = None
         weakref.finalize(self, lambda: [clear(z) for z in mpz]).atexit = False
 
 
 _thread = threading.local()  # .operands: the thread's _Operands, made on its first GMP modexp
 
 
+def _set_mpz(lib: ctypes.CDLL, z: _Mpz, value: int) -> None:
+    """Set z to value >= 0: its little-endian bytes copied into z's own limbs.
+
+    The limb count is the least that holds value, so the top limb is
+    non-zero, and 0 has none; limbs past the count are never read.
+    """
+    limbs = -(-value.bit_length() // (8 * lib.limb_bytes))
+    if limbs > z.alloc:
+        lib.__gmpz_realloc2(z, limbs * 8 * lib.limb_bytes)
+    ctypes.memmove(z.limbs, value.to_bytes(limbs * lib.limb_bytes, "little"), limbs * lib.limb_bytes)
+    z.size = limbs
+
+
 def _gmp_pow(lib: ctypes.CDLL, base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus through mpz_powm, for base >= 0 and modulus >= 2.
 
-    Operands cross as little-endian byte strings into the thread's own
-    mpz_t; the result is read straight from its limbs. CDLL releases the
-    GIL for the duration of each call.
+    Operands are written into the thread's own mpz_t, exponent and modulus
+    only when they differ in value from the last call's (the rounds of one
+    n share both); the result is read straight from its limbs. CDLL
+    releases the GIL for the duration of each call.
     """
     try:
         operands = _thread.operands
     except AttributeError:
         operands = _thread.operands = _Operands(lib)
-    result, *inputs = operands.mpz
-    for z, value in zip(inputs, (base, exponent, modulus)):
-        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
-        lib.__gmpz_import(z, len(data), -1, 1, 0, 0, data)
-    lib.__gmpz_powm(result, *inputs)
+    result, base_z, exponent_z, modulus_z = operands.mpz
+    _set_mpz(lib, base_z, base)
+    if exponent != operands.exponent or modulus != operands.modulus:
+        operands.modulus = None  # a write cut short by an exception must not match next time
+        _set_mpz(lib, exponent_z, exponent)
+        _set_mpz(lib, modulus_z, modulus)
+        operands.exponent, operands.modulus = exponent, modulus
+    lib.__gmpz_powm(result, base_z, exponent_z, modulus_z)
     return int.from_bytes(ctypes.string_at(result.limbs, result.size * lib.limb_bytes), "little")
 
 
@@ -132,7 +153,7 @@ def mod_pow(base: int, exponent: int, modulus: int) -> int:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
     if modulus.bit_length() < GMP_MIN_BITS or (lib := _libgmp()) is None:
         return pow(base, exponent, modulus)
-    return _gmp_pow(lib, base % modulus, exponent, modulus)  # GMP imports magnitudes: reduce a negative base
+    return _gmp_pow(lib, base % modulus, exponent, modulus)  # GMP reads magnitudes: reduce a negative base
 
 
 def decompose_pow2(even: int) -> tuple[int, int]:

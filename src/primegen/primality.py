@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import arith
-from .arith import decompose_pow2, mod_pow
+from .arith import decompose_pow2, mod_pow  # noqa: F401 (bench/spans.py wraps decompose_pow2 here)
 from .errors import RefusalError
 from .sampling import Stream
 
 # Smallest n, in bits, whose bases after the first have their chains computed
-# concurrently. mpz_powm releases the GIL, but each modexp makes 5 foreign
-# calls, 4 of them through CDLL, and the threads hand the GIL back and forth at
-# each of those 4, which costs more than the overlap gains on small moduli.
+# concurrently. mpz_powm releases the GIL, but each modexp makes up to 5 foreign
+# calls, all but the result read releasing it, and the threads hand the GIL back
+# and forth at each of those, which costs more than the overlap gains on small moduli.
 # compare_tests(p, 10) on a prime p, 10 seeds per side, pool against one chain at
 # a time, in alternating pairs (2 CPUs, x86-64, GMP 6.2.1, Python 3.11, measured
 # when a modexp made 13 foreign calls); pool wins at 512/768/1024/1152/1280/1536 bits:
@@ -67,8 +67,8 @@ def _chain(n: int, a: int) -> list[int]:
     """[a^m, a^(2m), ..., a^(n-1)] mod n for odd n >= 3, where n - 1 = 2^s * m, m odd.
     Fermat reads the last entry, Euler the one before it, and the strong
     test the head plus any n - 1 before the last entry."""
-    s, m = decompose_pow2(n - 1)
-    chain = [mod_pow(a, m, n)]
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    chain = [mod_pow(a, (n - 1) >> s, n)]
     for _ in range(s):
         chain.append(chain[-1] * chain[-1] % n)
     return chain

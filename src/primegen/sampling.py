@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from hashlib import shake_256
+from typing import NamedTuple
 
 MAX_SEED = 2**64 - 1
 
@@ -53,8 +53,7 @@ def _pool(digits: int, wheel: int) -> tuple[int, int]:
     return low, 9 * low // wheel * len(FilterPolicy(wheel).offsets)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A d-digit pool member. The draw guarantees it and a test pins that; nothing re-checks it."""
 
     n: int

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primegen import arith
+from primegen import arith, primality
 from primegen.arith import GMP_MIN_BITS, decompose_pow2, mod_pow
 
 SRC = str(Path(arith.__file__).parents[1])
@@ -129,6 +130,42 @@ class TestGmpKernel:
         assert not thread.is_alive()
         assert results == [pow(*call) for call in calls]
         assert results[2] == 0
+
+    @staticmethod
+    @functools.cache
+    def limb_sweep() -> tuple[list[tuple[int, int, int]], list[int]]:
+        """(base, exponent, modulus) calls, and builtin pow of each, in an order
+        that works the limb writes and the exponent and modulus cache: moduli
+        grow from GMP_MIN_BITS to past 4096 bits, so the limbs must be
+        reallocated, then shrink back, so stale high limbs must be ignored.
+        Each size has base 0, exponent 0, the same modulus with a new exponent
+        and the same exponent with a new modulus. Exponents stop at 600 bits,
+        which keeps builtin pow fast."""
+        calls = []
+        for bits in (GMP_MIN_BITS, 64, 65, 128, 1000, 2048, 4097, 5000, 4097, 200, 65, 64, GMP_MIN_BITS):
+            n, other = (1 << (bits - 1)) + 27, (1 << (bits - 1)) + 1155
+            e = (n - 1) >> max(0, bits - 600)
+            calls += [(3, e, n), (0, e, n), (5, 0, n), (5, e - 2, n), (5, e - 2, other), (5, e - 2, other),
+                      (other - 2, e, other), (7, e, n), (n - 1, 2, n)]
+        return calls, [pow(*call) for call in calls]
+
+    def test_limb_writes_and_operand_cache_match_builtin(self):
+        calls, expected = self.limb_sweep()
+        results = []
+        thread = threading.Thread(target=lambda: results.extend(mod_pow(*call) for call in calls))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results == expected
+        assert [mod_pow(*call) for call in calls] == expected  # the calling thread, with whatever it last cached
+
+    def test_limb_writes_on_the_chain_pool(self):
+        # each pool thread keeps its own operands and cache across the tasks it runs
+        calls, expected = self.limb_sweep()
+        pool = primality._pool()
+        assert list(pool.map(lambda call: mod_pow(*call), calls)) == expected
+        sweeps = [pool.submit(lambda: [mod_pow(*call) for call in calls]) for _ in range(2 * primality._cpu_count())]
+        assert all(sweep.result(timeout=60) == expected for sweep in sweeps)
 
     @pytest.mark.skipif(not GMP_LOADS, reason="libgmp does not load on this host")
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the resident set from /proc")

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from primegen import experiment, primality
 from primegen.confidence import bayes_confidence, rounds_for_confidence
@@ -233,3 +234,35 @@ class TestRenderReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report(_fake_records(), "yaml", SUMMARY)
+
+    def test_json_is_json_dumps_with_indent(self):
+        records, summary = run_experiment(ExperimentConfig(digits=75, count=20, rounds=5, seed=9))
+        payload = {
+            "records": [dict(zip(experiment.CSV_HEADER, (r.candidate.n, r.label, r.rounds_used,
+                                                         r.confidence_lower_bound))) for r in records],
+            "summary": summary.__dict__,
+        }
+        assert render_report(records, "json", summary) == json.dumps(payload, indent=2)
+
+
+# text with quotes, backslashes, NUL and other control characters, non-ASCII characters and braces
+texts = st.text(st.one_of(st.sampled_from('"\\\0\n\t\x1f{}é€😀'), st.characters()), max_size=8)
+cells = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400), texts,
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05]),
+)
+
+
+class TestJsonRows:
+    """experiment._json_rows against json.dumps with indent=2, the layout it must reproduce."""
+
+    @given(header=st.lists(texts, min_size=1, max_size=5, unique=True), data=st.data())
+    def test_matches_json_dumps(self, header, data):
+        rows = data.draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)), max_size=6))
+        objects = [dict(zip(header, row)) for row in rows]
+        assert experiment._json_rows(header, rows, 0) == json.dumps(objects, indent=2)
+        nested = json.dumps({"rows": objects}, indent=2)
+        assert '{\n  "rows": ' + experiment._json_rows(header, rows, 1) + "\n}" == nested
+
+    def test_no_rows_is_an_empty_array(self):
+        assert experiment._json_rows(["a"], [], 0) == experiment._json_rows(["a"], [], 1) == "[]"

@@ -188,6 +188,12 @@ class TestCandidate:
                 assert c.digits == digits and 10 ** (digits - 1) <= c.n < 10**digits
                 assert math.gcd(c.n, w) == 1
 
+    def test_fields_and_immutability(self):
+        c = sampling.Candidate(101, 3)
+        assert (c.n, c.digits) == (101, 3) and c == sampling.Candidate(n=101, digits=3)
+        with pytest.raises(AttributeError):
+            c.n = 103
+
 
 class TestMakeStream:
     def test_seed_range_enforced(self):
