@@ -7,9 +7,7 @@ foreign calls, and on builtin three-argument pow otherwise; both give
 the same exact integer. No shared state: each thread owns its operands,
 four GMP integers made on its first GMP modexp and cleared when it ends,
 so every function is safe to call from any number of threads. Operands
-are copied straight into the limbs GMP allocated for them, and a modexp
-with the exponent and modulus of the thread's last one writes only its
-base.
+are copied straight into the limbs GMP allocated for them.
 
 Each call through a ctypes CDLL releases the GIL until it returns, so
 an mpz_powm on one thread runs alongside the other threads' modexps;
@@ -29,14 +27,14 @@ import weakref
 # loading runs no ldconfig or compiler as ctypes.util.find_library would.
 GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 
-# Smallest modulus, in bits, that goes through GMP. A modexp makes three to five
-# foreign calls (a memmove into the limbs of each operand written, mpz_powm, the
-# string_at that reads the result); with the conversions they cost ~5 us over the
-# bare mpz_powm, ~3 us when only the base is written. GMP time over builtin pow,
-# exponent n - 1 and a new n per call, median of 21 interleaved pairs, two runs
-# (GMP 6.2.1, Python 3.11, x86-64): 0.83 / 0.86 / 0.60 / 0.55 at 32 / 40 / 44 / 48
-# bits with GMP faster in 18 / 18 / 21 / 21 of 21, then 0.84 / 0.67 / 0.60 / 0.55
-# with 21 of 21 at each. 44 is the least size that won 20 of 21 in both runs.
+# Smallest modulus, in bits, that goes through GMP. A modexp makes five foreign
+# calls (a memmove into the limbs of each operand, mpz_powm, the string_at that
+# reads the result); with the conversions they cost ~5 us over the bare mpz_powm
+# at 249 bits. GMP time over builtin pow, exponent n - 1 and a new n per call,
+# median of 21 interleaved pairs, two runs (GMP 6.2.1, Python 3.11, x86-64):
+# 0.83 / 0.86 / 0.60 / 0.55 at 32 / 40 / 44 / 48 bits with GMP faster in
+# 18 / 18 / 21 / 21 of 21, then 0.84 / 0.67 / 0.60 / 0.55 with 21 of 21 at each.
+# 44 is the least size that won 20 of 21 in both runs.
 GMP_MIN_BITS = 44
 
 
@@ -80,8 +78,7 @@ def _libgmp() -> ctypes.CDLL | None:
 
 
 class _Operands:
-    """One thread's result, base, exponent and modulus mpz_t, and the exponent
-    and modulus of its last modexp, which the last two still hold.
+    """One thread's result, base, exponent and modulus mpz_t.
 
     Initialized once; _set_mpz and mpz_powm grow their limbs as needed.
     Between calls the thread's slot in _thread holds the only reference,
@@ -95,7 +92,6 @@ class _Operands:
         self.mpz = mpz = [_Mpz() for _ in range(4)]
         for z in mpz:
             init(z)
-        self.exponent = self.modulus = None
         weakref.finalize(self, lambda: [clear(z) for z in mpz]).atexit = False
 
 
@@ -118,10 +114,8 @@ def _set_mpz(lib: ctypes.CDLL, z: _Mpz, value: int) -> None:
 def _gmp_pow(lib: ctypes.CDLL, base: int, exponent: int, modulus: int) -> int:
     """base**exponent mod modulus through mpz_powm, for base >= 0 and modulus >= 2.
 
-    Operands are written into the thread's own mpz_t, exponent and modulus
-    only when they differ in value from the last call's (the rounds of one
-    n share both); the result is read straight from its limbs. CDLL
-    releases the GIL for the duration of each call.
+    Operands are written into the thread's own mpz_t and the result is read
+    straight from its limbs. CDLL releases the GIL for the duration of each call.
     """
     try:
         operands = _thread.operands
@@ -129,11 +123,8 @@ def _gmp_pow(lib: ctypes.CDLL, base: int, exponent: int, modulus: int) -> int:
         operands = _thread.operands = _Operands(lib)
     result, base_z, exponent_z, modulus_z = operands.mpz
     _set_mpz(lib, base_z, base)
-    if exponent != operands.exponent or modulus != operands.modulus:
-        operands.modulus = None  # a write cut short by an exception must not match next time
-        _set_mpz(lib, exponent_z, exponent)
-        _set_mpz(lib, modulus_z, modulus)
-        operands.exponent, operands.modulus = exponent, modulus
+    _set_mpz(lib, exponent_z, exponent)
+    _set_mpz(lib, modulus_z, modulus)
     lib.__gmpz_powm(result, base_z, exponent_z, modulus_z)
     return int.from_bytes(ctypes.string_at(result.limbs, result.size * lib.limb_bytes), "little")
 

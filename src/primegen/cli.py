@@ -22,7 +22,7 @@ from .density import Mode, base_prime_prob, digit_prime_mantissas, filtered_prim
 from .density import digit_prime_count, digit_prime_count_bounds  # noqa: F401 (bench/spans.py wraps them here)
 from .errors import RefusalError
 from .experiment import ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
-from .experiment import _ROWS, _json_document
+from .experiment import _json_document
 from .primality import ExactOutcome, compare_tests, trial_division
 from .primality import euler_test, fermat_test, miller_rabin  # noqa: F401 (bench/spans.py wraps them here)
 from .sampling import FilterPolicy, make_stream, pool_size
@@ -240,7 +240,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
             "filtered_prob": f"{filtered_prime_prob(k, policy, mode):.9f}",
         })
     if args.format == "json":
-        print(_json_document({"policy": args.policy, "mode": args.mode, "rows": _ROWS}, list(rows[0]),
+        print(_json_document({"policy": args.policy, "mode": args.mode}, "rows", list(rows[0]),
                              [row.values() for row in rows]))
     else:
         print("".join(render_rows(list(rows[0]), [row.values() for row in rows], args.format)))

@@ -33,7 +33,7 @@ JSON_CHUNK_ROWS = 1000
 # Every cell of a _json_rows call in one C-encoder call (indent=None), NUL-separated:
 # the encoder writes a NUL inside a string as \u0000, so a raw NUL is a separator.
 _CELLS = json.JSONEncoder(separators=("\0", ": "))
-# Stands in for the rows in the object around them; json.dumps writes it as _ROWS_JSON.
+# Stands in for the rows in _json_document's object; json.dumps writes it as _ROWS_JSON.
 _ROWS, _ROWS_JSON = "\0rows", '"\\u0000rows"'
 
 
@@ -217,10 +217,12 @@ def _json_rows(header: Sequence[str], rows: Iterable[Iterable], depth: int) -> s
     return "[" + (row * (len(cells) // len(keys)))[1:].format(*cells) + pad[:-2] + "]"
 
 
-def _json_document(obj: dict, header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """json.dumps(obj, indent=2) with its one top-level _ROWS value replaced by
-    the rows as an array of objects keyed by header, as _json_rows takes them."""
-    return json.dumps(obj, indent=2).replace(_ROWS_JSON, _json_rows(header, rows, 1), 1)
+def _json_document(obj: dict, key: str, header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """json.dumps({**obj, key: [dict(zip(header, row)) for row in rows]}, indent=2),
+    byte for byte: key keeps its place in obj if obj has it, else comes last.
+    The rows are cells as _json_rows takes them; _ROWS holds their place
+    while json.dumps writes the rest."""
+    return json.dumps({**obj, key: _ROWS}, indent=2).replace(_ROWS_JSON, _json_rows(header, rows, 1), 1)
 
 
 def render_fields(fields: Iterable[tuple[str, object]]) -> str:
@@ -242,5 +244,5 @@ def render_report(records: Iterable[ExperimentRecord], output_format: str, summa
         rows = [(n, label, used, "" if bound is None else f"{bound:.9f}") for n, label, used, bound in values]
         return "".join(render_rows(CSV_HEADER, rows, "csv"))
     if output_format == "json":
-        return _json_document({"records": _ROWS, "summary": summary.__dict__}, CSV_HEADER, values)
+        return _json_document({"records": None, "summary": summary.__dict__}, "records", CSV_HEADER, values)
     raise ValueError(f"unknown output format {output_format!r}")

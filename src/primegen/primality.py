@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import arith
-from .arith import decompose_pow2, mod_pow  # noqa: F401 (bench/spans.py wraps decompose_pow2 here)
+from .arith import decompose_pow2, mod_pow
 from .errors import RefusalError
 from .sampling import Stream
 
 # Smallest n, in bits, whose bases after the first have their chains computed
-# concurrently. mpz_powm releases the GIL, but each modexp makes up to 5 foreign
+# concurrently. mpz_powm releases the GIL, but each modexp makes 5 foreign
 # calls, all but the result read releasing it, and the threads hand the GIL back
 # and forth at each of those, which costs more than the overlap gains on small moduli.
 # compare_tests(p, 10) on a prime p, 10 seeds per side, pool against one chain at
@@ -67,8 +67,8 @@ def _chain(n: int, a: int) -> list[int]:
     """[a^m, a^(2m), ..., a^(n-1)] mod n for odd n >= 3, where n - 1 = 2^s * m, m odd.
     Fermat reads the last entry, Euler the one before it, and the strong
     test the head plus any n - 1 before the last entry."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    chain = [mod_pow(a, (n - 1) >> s, n)]
+    s, m = decompose_pow2(n - 1)
+    chain = [mod_pow(a, m, n)]
     for _ in range(s):
         chain.append(chain[-1] * chain[-1] % n)
     return chain

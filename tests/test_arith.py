@@ -135,12 +135,11 @@ class TestGmpKernel:
     @functools.cache
     def limb_sweep() -> tuple[list[tuple[int, int, int]], list[int]]:
         """(base, exponent, modulus) calls, and builtin pow of each, in an order
-        that works the limb writes and the exponent and modulus cache: moduli
-        grow from GMP_MIN_BITS to past 4096 bits, so the limbs must be
-        reallocated, then shrink back, so stale high limbs must be ignored.
-        Each size has base 0, exponent 0, the same modulus with a new exponent
-        and the same exponent with a new modulus. Exponents stop at 600 bits,
-        which keeps builtin pow fast."""
+        that works the limb writes: moduli grow from GMP_MIN_BITS to past 4096
+        bits, so the limbs must be reallocated, then shrink back, so stale high
+        limbs must be ignored. Each size has base 0, exponent 0, the same
+        modulus with a new exponent and the same exponent with a new modulus.
+        Exponents stop at 600 bits, which keeps builtin pow fast."""
         calls = []
         for bits in (GMP_MIN_BITS, 64, 65, 128, 1000, 2048, 4097, 5000, 4097, 200, 65, 64, GMP_MIN_BITS):
             n, other = (1 << (bits - 1)) + 27, (1 << (bits - 1)) + 1155
@@ -149,7 +148,7 @@ class TestGmpKernel:
                       (other - 2, e, other), (7, e, n), (n - 1, 2, n)]
         return calls, [pow(*call) for call in calls]
 
-    def test_limb_writes_and_operand_cache_match_builtin(self):
+    def test_limb_writes_match_builtin(self):
         calls, expected = self.limb_sweep()
         results = []
         thread = threading.Thread(target=lambda: results.extend(mod_pow(*call) for call in calls))
@@ -157,10 +156,10 @@ class TestGmpKernel:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert results == expected
-        assert [mod_pow(*call) for call in calls] == expected  # the calling thread, with whatever it last cached
+        assert [mod_pow(*call) for call in calls] == expected  # the calling thread, with whatever limbs it holds
 
     def test_limb_writes_on_the_chain_pool(self):
-        # each pool thread keeps its own operands and cache across the tasks it runs
+        # each pool thread keeps its own operands across the tasks it runs
         calls, expected = self.limb_sweep()
         pool = primality._pool()
         assert list(pool.map(lambda call: mod_pow(*call), calls)) == expected

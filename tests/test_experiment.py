@@ -261,8 +261,11 @@ class TestJsonRows:
         rows = data.draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)), max_size=6))
         objects = [dict(zip(header, row)) for row in rows]
         assert experiment._json_rows(header, rows, 0) == json.dumps(objects, indent=2)
-        nested = json.dumps({"rows": objects}, indent=2)
-        assert '{\n  "rows": ' + experiment._json_rows(header, rows, 1) + "\n}" == nested
+        # depth 1, through _json_document: the key keeps its place in the object, or comes last
+        assert experiment._json_document({"rows": None, "n": 2}, "rows", header, rows) == json.dumps(
+            {"rows": objects, "n": 2}, indent=2)
+        assert experiment._json_document({"n": 2}, "rows", header, rows) == json.dumps(
+            {"n": 2, "rows": objects}, indent=2)
 
     def test_no_rows_is_an_empty_array(self):
         assert experiment._json_rows(["a"], [], 0) == experiment._json_rows(["a"], [], 1) == "[]"
