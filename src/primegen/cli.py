@@ -33,8 +33,8 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 # Largest digit count a density table may reach, so that its time and output
-# stay bounded: each row is a few float closed forms, and the full 2-4300
-# table takes ~0.04 s in-process (Python 3.11). Tests and CI pin the 4301 refusal.
+# stay bounded: each row is a few float closed forms, and the full 2-4300 table takes about
+# 0.02-0.04 s in-process in any format (Python 3.11, 2-CPU Xeon VM). Tests and CI pin the 4301 refusal.
 DENSITY_DIGIT_CAP = 4300
 
 # Most rounds `test` and `experiment` run per test. A probable prime's error
@@ -226,25 +226,21 @@ def _cmd_density(args: argparse.Namespace) -> None:
     digits = _parse_digit_range(args.digits)
     if digits[-1] > DENSITY_DIGIT_CAP:
         raise RefusalError(f"density table capped at {DENSITY_DIGIT_CAP} digits, got {digits[-1]}")
+    header = ("digits", "pool_size", "prime_count_estimate", "dusart_lower", "dusart_upper", "base_prob", "filtered_prob")
     pool = f"{pool_size(2, policy) / 10:.9f}"  # 9·φ(W)/W at every decade
-    rows = []
+    rows, above_one = [], []
     for k, (count, lower, upper) in zip(digits, digit_prime_mantissas(digits[0], digits[-1])):
         exp = f"e{k - 1:+d}"
-        rows.append({
-            "digits": k,
-            "pool_size": pool + exp,
-            "prime_count_estimate": f"{count:.9f}{exp}",
-            "dusart_lower": f"{lower:.9f}{exp}" if k >= 6 else "",  # Dusart's bracket needs 10^(k-1) >= 60184
-            "dusart_upper": f"{upper:.9f}{exp}" if k >= 6 else "",
-            "base_prob": f"{base_prime_prob(k):.9f}",
-            "filtered_prob": f"{filtered_prime_prob(k, policy, mode):.9f}",
-        })
+        prob = filtered_prime_prob(k, policy, mode)
+        if prob >= 1:
+            above_one.append(str(k))
+        # Dusart's bracket needs 10^(k-1) >= 60184
+        dusart = (f"{lower:.9f}{exp}", f"{upper:.9f}{exp}") if k >= 6 else ("", "")
+        rows.append((k, pool + exp, f"{count:.9f}{exp}", *dusart, f"{base_prime_prob(k):.9f}", f"{prob:.9f}"))
     if args.format == "json":
-        print(_json_document({"policy": args.policy, "mode": args.mode}, "rows", list(rows[0]),
-                             [row.values() for row in rows]))
+        print(_json_document({"policy": args.policy, "mode": args.mode}, "rows", header, rows))
     else:
-        print("".join(render_rows(list(rows[0]), [row.values() for row in rows], args.format)))
-    above_one = [str(row["digits"]) for row in rows if float(row["filtered_prob"]) >= 1]
+        print("".join(render_rows(header, rows, args.format)))
     if above_one:
         print(f"note: filtered_prob >= 1 at {', '.join(above_one)} digits;"
               f" the {mode.value} prior is not a probability there", file=sys.stderr)

@@ -51,14 +51,20 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """A drawn candidate and its strong-test verdict. label and rounds_used derive
+    from the verdict; the run's one confidence bound lives in ExperimentSummary."""
+
     candidate: Candidate
     verdict: TestVerdict
-    rounds_used: int
-    confidence_lower_bound: float | None
 
     @property
     def label(self) -> str:
         return "PRIME" if self.verdict.is_probable_prime else "COMPOSITE"
+
+    @property
+    def rounds_used(self) -> int:
+        # the rounds passed, plus the round whose base was a witness
+        return self.verdict.rounds_survived + (self.verdict.witness is not None)
 
 
 @dataclass(frozen=True)
@@ -101,15 +107,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
         rng = make_stream(config.seed, i)
         candidate = random_candidate(config.digits, config.policy, rng)
         verdict = miller_rabin(candidate.n, config.rounds, rng) if candidate.n % 2 else EVEN
-        records.append(
-            ExperimentRecord(
-                candidate=candidate,
-                verdict=verdict,
-                # the rounds passed, plus the round whose base was a witness
-                rounds_used=verdict.rounds_survived + (verdict.witness is not None),
-                confidence_lower_bound=bound if verdict.is_probable_prime else None,
-            )
-        )
+        records.append(ExperimentRecord(candidate, verdict))
     summary = ExperimentSummary(
         digits=config.digits,
         count=config.count,
@@ -234,10 +232,12 @@ def render_report(records: Iterable[ExperimentRecord], output_format: str, summa
     """Render records; numbers always in full decimal, never scientific.
 
     table: one "<number> <PRIME|COMPOSITE>" line per record, a blank line
-    and the summary block. csv: CSV_HEADER, empty confidence field for
-    composites, no summary. json: records array plus summary.
+    and the summary block. csv: CSV_HEADER, no summary. json: records array
+    plus summary. A PRIME row's confidence_lower_bound is the summary's, the
+    run's one bound; a COMPOSITE row's is an empty csv cell or a json null.
     """
-    values = [(r.candidate.n, r.label, r.rounds_used, r.confidence_lower_bound) for r in records]
+    bound = summary.confidence_lower_bound
+    values = [(r.candidate.n, r.label, r.rounds_used, bound if r.verdict.is_probable_prime else None) for r in records]
     if output_format == "table":
         return "\n".join([f"{n} {label}" for n, label, _, _ in values] + ["", render_fields(summary.fields())])
     if output_format == "csv":

@@ -78,21 +78,16 @@ def liar_census(n: int, factors: dict[int, int] | None = None) -> LiarCensus:
     return LiarCensus(n=n, total_bases=n - 1, fermat_liars=fermat, euler_liars=euler, strong_liars=strong)
 
 
-def census_range(start: int, end: int) -> range:
-    """The odd n in [start, end], refused before any work when a census of
-    each would pass CENSUS_CAP or there are more than CENSUS_ROW_CAP of them."""
+def composite_censuses(start: int, end: int) -> Iterator[LiarCensus]:
+    """The census of each odd composite in [start, end], from one factor_table(end);
+    refused at call time, before any work, when a census of each odd n would pass
+    CENSUS_CAP or there are more than CENSUS_ROW_CAP of them (odd n below 0: ValueError)."""
     odd = range(start | 1, end + 1, 2)
     if end > CENSUS_CAP or len(odd) > CENSUS_ROW_CAP:
         raise RefusalError(f"census over [{start}, {end}] would cover {len(odd)} odd n;"
                            f" caps: n <= {CENSUS_CAP}, {CENSUS_ROW_CAP} odd n")
     if odd and odd[0] < 0:
         raise ValueError("n must be non-negative")
-    return odd
-
-
-def composite_censuses(start: int, end: int) -> Iterator[LiarCensus]:
-    """The census of each odd composite in census_range(start, end), checked at once, from one factor_table(end)."""
-    odd = census_range(start, end)
     table = factor_table(max(end, 0))
     return (liar_census(n, _factorize(n, table)) for n in odd if table[n])
 

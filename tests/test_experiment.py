@@ -42,14 +42,20 @@ class TestRunExperiment:
         config = small_config(count=200)
         records, summary = run_experiment(config)
         assert len(records) == 200
-        for r in records:
+        assert [f.name for f in dataclasses.fields(ExperimentRecord)] == ["candidate", "verdict"]
+        csv_rows = render_report(records, "csv", summary).splitlines()[1:]
+        json_rows = json.loads(render_report(records, "json", summary))["records"]
+        for r, csv_row, json_row in zip(records, csv_rows, json_rows, strict=True):
             assert math.gcd(r.candidate.n, BOTH.wheel) == 1
+            # a record holds no bound: each PRIME row shows the summary's, each COMPOSITE row none
             if r.verdict.is_probable_prime:
                 assert r.rounds_used == config.rounds
-                assert r.confidence_lower_bound == summary.confidence_lower_bound
+                assert csv_row.endswith(f",{summary.confidence_lower_bound:.9f}")
+                assert json_row["confidence_lower_bound"] == summary.confidence_lower_bound
             else:
                 assert r.rounds_used <= config.rounds
-                assert r.confidence_lower_bound is None
+                assert csv_row.endswith(",")
+                assert json_row["confidence_lower_bound"] is None
         assert summary.prime_count == sum(r.verdict.is_probable_prime for r in records)
 
     def test_summary_expectation_and_bound(self):
@@ -188,18 +194,8 @@ class TestGeneratePrime:
 
 
 def _fake_records():
-    prime = ExperimentRecord(
-        candidate=Candidate(101, 3),
-        verdict=Verdict(rounds_survived=10),
-        rounds_used=10,
-        confidence_lower_bound=0.99997,
-    )
-    composite = ExperimentRecord(
-        candidate=Candidate(561, 3),
-        verdict=Verdict(witness=2, rounds_survived=0),
-        rounds_used=1,
-        confidence_lower_bound=None,
-    )
+    prime = ExperimentRecord(candidate=Candidate(101, 3), verdict=Verdict(rounds_survived=10))
+    composite = ExperimentRecord(candidate=Candidate(561, 3), verdict=Verdict(witness=2, rounds_survived=0))
     return [prime, composite]
 
 
@@ -237,9 +233,10 @@ class TestRenderReport:
 
     def test_json_is_json_dumps_with_indent(self):
         records, summary = run_experiment(ExperimentConfig(digits=75, count=20, rounds=5, seed=9))
+        bound = summary.confidence_lower_bound
         payload = {
             "records": [dict(zip(experiment.CSV_HEADER, (r.candidate.n, r.label, r.rounds_used,
-                                                         r.confidence_lower_bound))) for r in records],
+                                                         bound if r.label == "PRIME" else None))) for r in records],
             "summary": summary.__dict__,
         }
         assert render_report(records, "json", summary) == json.dumps(payload, indent=2)

@@ -18,7 +18,6 @@ from primegen.pseudolab import (
     SCAN_CAP,
     LiarCensus,
     carmichael_numbers,
-    census_range,
     composite_censuses,
     fermat_pseudoprimes,
     is_absolute_euler_pseudoprime,
@@ -129,25 +128,33 @@ def test_composite_censuses_match_trial_division_factoring(prime_flags):
 
 
 class TestCensusRange:
+    """composite_censuses' odd range and caps, checked when it is called."""
+
     def test_odd_members(self):
-        assert list(census_range(9, 15)) == [9, 11, 13, 15]
-        assert list(census_range(10, 14)) == [11, 13]
-        assert list(census_range(14, 13)) == []
+        assert [c.n for c in composite_censuses(9, 15)] == [9, 15]
+        assert list(composite_censuses(10, 14)) == []
+        assert list(composite_censuses(14, 13)) == []
+        with pytest.raises(ValueError):
+            composite_censuses(-3, 15)
 
     @pytest.mark.parametrize("start, end", [(9, 9), (9, 15), (10, 14), (551, 651), (2, 3000), (999001, 999999)])
     def test_row_cap_is_the_exact_odd_count(self, monkeypatch, start, end):
+        def table(limit):
+            raise AssertionError("factor table built before the caps were checked")
+
         rows = sum(n % 2 for n in range(start, end + 1))
         monkeypatch.setattr(pseudolab, "CENSUS_ROW_CAP", rows)
-        assert len(census_range(start, end)) == rows
+        composite_censuses(start, end)
         monkeypatch.setattr(pseudolab, "CENSUS_ROW_CAP", rows - 1)
+        monkeypatch.setattr(pseudolab, "factor_table", table)
         with pytest.raises(RefusalError):
-            census_range(start, end)
+            composite_censuses(start, end)
 
     def test_readme_sweep_fits_the_budget(self):
-        assert len(census_range(9, 5000)) == 2496
+        assert next(composite_censuses(9, 5000)).n == 9
 
     def test_top_of_the_range_fits_the_row_cap(self):
-        assert len(census_range(800001, 10**6)) == 10**5
+        assert next(composite_censuses(800001, 10**6)).n == 800001
 
 
 class TestFermatPseudoprimes:
