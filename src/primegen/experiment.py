@@ -237,7 +237,12 @@ def render_report(records: Iterable[ExperimentRecord], output_format: str, summa
     run's one bound; a COMPOSITE row's is an empty csv cell or a json null.
     """
     bound = summary.confidence_lower_bound
-    values = [(r.candidate.n, r.label, r.rounds_used, bound if r.verdict.is_probable_prime else None) for r in records]
+    values = [
+        (r.candidate.n, "PRIME", r.verdict.rounds_survived, bound)
+        if r.verdict.is_probable_prime
+        else (r.candidate.n, "COMPOSITE", r.rounds_used, None)
+        for r in records
+    ]
     if output_format == "table":
         return "\n".join([f"{n} {label}" for n, label, _, _ in values] + ["", render_fields(summary.fields())])
     if output_format == "csv":

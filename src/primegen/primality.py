@@ -53,7 +53,7 @@ class TestVerdict:
 
     @property
     def is_probable_prime(self) -> bool:
-        return not self.is_composite
+        return self.witness is None and self.factor is None
 
 
 def _check_round_args(n: int, a: int | None = None) -> None:

@@ -18,7 +18,7 @@ from .arith import decompose_pow2
 from .errors import RefusalError
 from .primality import factor_table, trial_division
 
-SCAN_CAP = 10**7  # limit of both congruence-sieve scans: base 2 takes ~0.5 s there (Python 3.11)
+SCAN_CAP = 10**7  # limit of both congruence-sieve scans: base 2 takes ~0.2 s there (Python 3.11)
 CENSUS_CAP = 10**6  # largest n of a census sweep: bounds the memory of its factor_table(end)
 # Odd n one census sweep may cover: ~0.7 s as csv at the top of the range
 # (Python 3.11); rows are written as they come, so memory does not grow with it.
@@ -116,25 +116,27 @@ def _keep_congruent(flags: bytearray, p: int, e: int) -> None:
         flags[p // 2 :: step] = kept
 
 
-def _congruence_sieve(limit: int, period: Callable[[int], int], *, korselt: bool = False) -> Iterator[int]:
+def _congruence_sieve(limit: int, period: Callable[[int], int], reach: int, *, korselt: bool = False) -> Iterator[int]:
     """Odd composites n in [9, limit], ascending, minus those that some
     prime p rules out.
 
     A member n divisible by the odd prime p has n = 1 (mod e) for
     e = period(p), a divisor of p - 1, so n = p (mod p lcm(2, e)) by the
-    Chinese remainder theorem; e = 0 says p divides no member. With
-    `korselt` no member is divisible by p^2 or has a prime factor above
-    its square root, as for a Carmichael number.
+    Chinese remainder theorem; e = 0 says p divides no member. No prime
+    above `reach` divides a member. With `korselt` no member is divisible
+    by p^2, as for a Carmichael number.
 
     The flags cover odd n only and all per-n work is slice assignment.
     Each prime p <= r = isqrt(limit) keeps its congruent odd multiples.
     A prime P > r divides n only as n = k P with odd k <= limit // P <= r,
-    and no second prime above r divides n. The P with period 0 (all of
-    them when `korselt`) form a mask, and each odd k clears k P for
-    every masked P at once: one AND-NOT of the mask with the odd multiples
-    of k, as integers. The other P keep their congruent multiples one at
-    a time. The sieve only removes numbers; the caller checks each one
-    left, so its list stays exact.
+    and no second prime above r divides n. Only the P up to `reach` get a
+    period. Those whose congruent odd multiples above P start past the
+    limit, at P (1 + lcm(2, e)) > limit or at none for e = 0, divide no
+    member; with every P above `reach` they form a mask, and each odd k
+    clears k P for every masked P at once: one AND-NOT of the mask with
+    the odd multiples of k, as integers. The other P keep their congruent
+    multiples one at a time. The sieve only removes numbers; the caller
+    checks each one left, so its list stays exact.
     """
     size, r = (limit + 1) // 2, math.isqrt(limit)
     small = (r + 1) // 2  # flags[:small] are the odd n <= r
@@ -154,13 +156,12 @@ def _congruence_sieve(limit: int, period: Callable[[int], int], *, korselt: bool
                 _clear(members, p * p // 2, p * p)
     mask = flags  # the primes above r
     mask[:small] = bytes(small)
-    if not korselt:
-        top = (limit // 3 + 1) // 2  # primes with an odd multiple 3P <= limit
-        for i in compress(range(small, top), mask[small:top]):
-            p = 2 * i + 1
-            if e := period(p):
-                mask[i] = 0
-                _keep_congruent(members, p, e)
+    top = (reach + 1) // 2  # flags[:top] are the odd n <= reach
+    for i in compress(range(small, top), mask[small:top]):
+        p = 2 * i + 1
+        if (e := period(p)) and p * (math.lcm(2, e) + 1) <= limit:
+            mask[i] = 0
+            _keep_congruent(members, p, e)
     for k in range(3, limit // (r + 1) + 1, 2):
         first = k // 2 + k * small  # n = k (2 small + 1), the first cofactor above r
         count = len(range(first, size, k))
@@ -178,9 +179,17 @@ def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
     a^(n-1) = 1 (mod n) gives a^(n-1) = 1 (mod p) for each prime p of n,
     so p does not divide a and ord_p(a) divides n - 1: the sieve's period
     is ord_p(a), or 0 when p | a. For a prime P above isqrt(limit) the
-    cofactor k = n/P is at most limit // P and ord_P(a) divides k - 1, so
-    it divides d = gcd(P - 1, lcm(1..limit//P - 1)); when a^d != 1
-    (mod P), no multiple of P passes. Only pow(a, n - 1, n) admits an n.
+    cofactor k = n/P is odd, 3 <= k <= K = limit // P, and ord_P(a)
+    divides n - 1 = k (P - 1) + k - 1, so it divides k - 1 <= K - 1:
+    it divides d = gcd(P - 1, lcm(1..K - 1)), so when a^d != 1 (mod P) no
+    multiple of P passes, and P divides a^ord - 1, so P < a^(K - 1).
+    That bound falls as P grows: every P with limit // P = K is ruled out
+    when a^(K - 1) <= limit // (K + 1) + 1, the least of them. Take the
+    first K from 3 up where this fails. Each P > limit // K is ruled out;
+    each smaller P has K' = limit // P >= K, and P < a^(K' - 1) reads
+    P < a^(K - 1) for K' = K and holds anyway for K' > K, where
+    P <= limit // (K + 1) < a^(K - 1) - 1. So the sieve's reach is
+    min(limit // K, a^(K - 1) - 1). Only pow(a, n - 1, n) admits an n.
     """
     if a < 2:
         raise ValueError("base must be >= 2")
@@ -188,16 +197,19 @@ def fermat_pseudoprimes(a: int, limit: int) -> list[int]:
         raise RefusalError(f"scan capped at {SCAN_CAP}, got {limit}")
     if limit < 9:
         return []
-    r = math.isqrt(limit)
+    r, k, power = math.isqrt(limit), 3, a * a  # power = a^(k-1)
+    while power <= limit // (k + 1) + 1:
+        k, power = k + 1, power * a
     lcms = list(accumulate(range(1, r + 1), math.lcm, initial=1))  # lcms[j] = lcm(1..j)
-    # d below divides both P - 1 < limit // K and lcm(1..K-1), K = limit // P
-    table = factor_table(max(r, *(min(limit // k, lcms[k - 1]) for k in range(3, r + 1))))
+    # d below divides both P - 1 < limit // K and lcm(1..K-1), K = limit // P >= k
+    table = factor_table(max([r, *(min(limit // j, lcms[j - 1]) for j in range(k, r + 1))]))
 
     def period(p: int) -> int:
         d = p - 1 if p <= r else math.gcd(p - 1, lcms[limit // p - 1])
         return _order(a, p, d, table) if pow(a, d, p) == 1 else 0
 
-    return [n for n in _congruence_sieve(limit, period) if pow(a, n - 1, n) == 1]
+    survivors = _congruence_sieve(limit, period, min(limit // k, power - 1))
+    return [n for n in survivors if pow(a, n - 1, n) == 1]
 
 
 def carmichael_numbers(limit: int) -> list[int]:
@@ -207,13 +219,14 @@ def carmichael_numbers(limit: int) -> list[int]:
     factor p) characterizes them; base n-1 rules out every even
     composite, so only odd n are sieved, with period p - 1. A member's
     n/p = 1 (mod p - 1) exceeds 1, so n/p >= p: every prime factor is at
-    most sqrt(n). Only the Korselt check on its factors admits an n.
+    most sqrt(n), and the sieve's reach is isqrt(limit). Only the Korselt
+    check on its factors admits an n.
     """
     if limit > SCAN_CAP:
         raise RefusalError(f"scan capped at {SCAN_CAP}, got {limit}")
     if limit < 9:
         return []
-    survivors = _congruence_sieve(limit, lambda p: p - 1, korselt=True)
+    survivors = _congruence_sieve(limit, lambda p: p - 1, math.isqrt(limit), korselt=True)
     return [n for n in survivors if _korselt(_factorize(n), n - 1)]
 
 

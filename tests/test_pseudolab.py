@@ -187,17 +187,28 @@ class TestFermatPseudoprimes:
         assert len(found) == 274 and found[-1] == 1194649
 
     def test_order_condition_skips_most_modexps(self, monkeypatch):
-        calls = 0
+        calls = keeps = 0
+        keep = pseudolab._keep_congruent
 
         def counting_pow(*args):
             nonlocal calls
             calls += 1
             return pow(*args)
 
+        def counting_keep(*args):
+            nonlocal keeps
+            keeps += 1
+            keep(*args)
+
         # a module global shadows the builtin, so every pow in pseudolab is counted
         monkeypatch.setattr(pseudolab, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(pseudolab, "_keep_congruent", counting_keep)
         assert len(fermat_pseudoprimes(2, 10**6)) == 245  # OEIS A001567
-        assert calls < 10**5  # one per odd composite, ~4.2 * 10^5, without the condition
+        # one pow per odd composite, ~4.2 * 10^5, without the order condition; 34 538
+        # with it but without the order and reach cutoffs above isqrt(limit), 11 783 with them
+        assert calls < 15_000
+        # 1 225 primes keep their congruent multiples one at a time without the cutoffs, 251 with them
+        assert keeps <= 300
 
     def test_every_scan_hit_fools_the_fermat_round(self):
         for n in fermat_pseudoprimes(3, 3000):
@@ -256,6 +267,76 @@ class TestSieveEdges:
         found = fermat_pseudoprimes(2, SCAN_CAP)
         assert len(found) == 750  # OEIS A001567
         assert found[:7] == [341, 561, 645, 1105, 1387, 1729, 1905]
+
+
+def reach_edges(a, top):
+    """The limits in [9, top], and one either side, where the reach's K or the
+    min that gives it changes: a^(K-1) <= limit // (K + 1) + 1 starts to hold at
+    limit = (K + 1)(a^(K-1) - 1), and limit // K reaches a^(K-1) - 1 at K(a^(K-1) - 1)."""
+    edges, k = set(), 3
+    while k * (a ** (k - 1) - 1) <= top:
+        edges |= {j * (a ** (k - 1) - 1) + d for j in (k, k + 1) for d in (-1, 0, 1)}
+        k += 1
+    return sorted(limit for limit in edges if 9 <= limit <= top)
+
+
+def brute_order(a, p):
+    x, e = a % p, 1
+    while x != 1:
+        x, e = x * a % p, e + 1
+    return e
+
+
+class TestLargePrimeCutoffs:
+    """The order and reach cutoffs on primes P above isqrt(limit), checked against
+    pow_rescan and brute-force orders rather than against the sieve."""
+
+    @pytest.mark.parametrize("a", [2, 3, 5, 10, 1001])
+    def test_lemma_holds_on_every_large_prime_of_a_pseudoprime(self, prime_flags, a):
+        # n = k P is found at each limit >= n, where P > isqrt(limit) only if P > isqrt(n),
+        # and limit // P >= k: the bounds at limit = n, where limit // P = k, imply those
+        # of every limit up to 10^5
+        found = 0
+        for n in pow_rescan(a, 10**5, prime_flags(10**5)):
+            for p in _distinct_prime_factors(n):
+                if p > math.isqrt(n):
+                    order, k = brute_order(a, p), n // p
+                    assert k % 2 and math.lcm(2, order) <= k - 1, (n, p)
+                    assert p < a ** (k - 1), (n, p)
+                    found += 1
+        assert found >= 10
+
+    def test_edge_limits_include_the_first_and_last_band(self):
+        assert reach_edges(2, 10**5)[-3:] == [57329, 57330, 57331]  # K = 13: 14 (2^12 - 1)
+        assert reach_edges(10, 10**5)[:3] == [296, 297, 298]  # K = 3: 3 (10^2 - 1)
+
+    @pytest.fixture
+    def reaches(self, monkeypatch):
+        """The reach of each _congruence_sieve call, in call order."""
+        seen, sieve = [], pseudolab._congruence_sieve
+
+        def spy(limit, period, reach, **kwargs):
+            seen.append(reach)
+            return sieve(limit, period, reach, **kwargs)
+
+        monkeypatch.setattr(pseudolab, "_congruence_sieve", spy)
+        return seen
+
+    @pytest.mark.parametrize("a", [2, 3, 10])
+    def test_scan_matches_a_pow_rescan_at_the_reach_edges(self, reaches, prime_flags, a):
+        flags = prime_flags(10**5)
+        rescan = pow_rescan(a, 10**5, flags)
+        for limit in reach_edges(a, 10**5):
+            assert fermat_pseudoprimes(a, limit) == [n for n in rescan if n <= limit], limit
+            # no prime P the lemma leaves, P < a^(limit // P - 1), lies above the reach
+            r = math.isqrt(limit)
+            left = [p for p in range(r + 1, limit // 3 + 1) if flags[p] and p < a ** (limit // p - 1)]
+            assert reaches.pop() >= max(left, default=r), limit
+
+    def test_a_large_base_reaches_a_third_of_the_limit(self, reaches):
+        for limit in (9, 25, 10**4 + 1, 10**5):
+            fermat_pseudoprimes(2**61 - 1, limit)
+            assert reaches.pop() == limit // 3, limit
 
 
 class TestCarmichaelNumbers:
