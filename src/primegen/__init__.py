@@ -13,9 +13,7 @@ from .density import (
     base_prime_prob,
     digit_prime_count,
     digit_prime_count_bounds,
-    dusart_bounds,
     filtered_prime_prob,
-    pnt_estimate,
 )
 from .errors import RefusalError
 from .experiment import (
@@ -74,7 +72,6 @@ __all__ = [
     "decompose_pow2",
     "digit_prime_count",
     "digit_prime_count_bounds",
-    "dusart_bounds",
     "euler_round",
     "euler_test",
     "fermat_pseudoprimes",
@@ -89,7 +86,6 @@ __all__ = [
     "miller_rabin_round",
     "mod_pow",
     "mr_transcript",
-    "pnt_estimate",
     "pool_size",
     "random_candidate",
     "render_report",

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import operator
 import os
 import sys
@@ -22,7 +23,7 @@ from .density import Mode, base_prime_prob, digit_prime_mantissas, filtered_prim
 from .density import digit_prime_count, digit_prime_count_bounds  # noqa: F401 (bench/spans.py wraps them here)
 from .errors import RefusalError
 from .experiment import ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
-from .experiment import _json_document
+from .experiment import DIGIT_CAP, _json_document
 from .primality import ExactOutcome, compare_tests, trial_division
 from .primality import euler_test, fermat_test, miller_rabin  # noqa: F401 (bench/spans.py wraps them here)
 from .sampling import FilterPolicy, make_stream, pool_size
@@ -31,11 +32,6 @@ EXIT_OK = 0
 EXIT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
-
-# Largest digit count a density table may reach, so that its time and output
-# stay bounded: each row is a few float closed forms, and the full 2-4300 table takes about
-# 0.02-0.04 s in-process in any format (Python 3.11, 2-CPU Xeon VM). Tests and CI pin the 4301 refusal.
-DENSITY_DIGIT_CAP = 4300
 
 # Most rounds `test` and `experiment` run per test. A probable prime's error
 # bound is 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about
@@ -177,7 +173,8 @@ def _cmd_test(args: argparse.Namespace) -> None:
     for label, verdict in compare_tests(n, args.rounds, rng).items():
         line = f"{label}[m={args.rounds}]: {'COMPOSITE' if verdict.is_composite else 'PROBABLE_PRIME'}"
         if verdict.is_composite:  # a driver's composite verdict always names its witness base
-            factor = "" if verdict.factor is None else f", factor {verdict.factor}"
+            g = math.gcd(verdict.witness, n)  # > 1 when the base shares a factor with n
+            factor = f", factor {g}" if g > 1 else ""
             line += f" (witness {verdict.witness}{factor})"
         elif exact is not None and exact.outcome is ExactOutcome.COMPOSITE:
             line += "  ** false positive: exact oracle says composite **"
@@ -224,8 +221,8 @@ def _cmd_density(args: argparse.Namespace) -> None:
     policy = POLICIES[args.policy]
     mode = Mode(args.mode)
     digits = _parse_digit_range(args.digits)
-    if digits[-1] > DENSITY_DIGIT_CAP:
-        raise RefusalError(f"density table capped at {DENSITY_DIGIT_CAP} digits, got {digits[-1]}")
+    if digits[-1] > DIGIT_CAP:
+        raise RefusalError(f"density table capped at {DIGIT_CAP} digits, got {digits[-1]}")
     header = ("digits", "pool_size", "prime_count_estimate", "dusart_lower", "dusart_upper", "base_prob", "filtered_prob")
     pool = f"{pool_size(2, policy) / 10:.9f}"  # 9·φ(W)/W at every decade
     rows, above_one = [], []

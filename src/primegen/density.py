@@ -1,10 +1,11 @@
 """Prime-density estimation for d-digit integers.
 
-Prime-number-theorem approximations to pi(x), the d-digit prime count,
-Dusart's explicit pi(x) bounds, and the prior probability that a
-filtered candidate is prime. The single-row counts are Decimals; the
-density table reads float mantissas at each row's decade from
-digit_prime_mantissas, closed forms of the same differences.
+The d-digit prime count from the prime-number-theorem estimate
+pi(x) ~ x / ln x, its bracket from Dusart's explicit pi(x) bounds, and
+the prior probability that a filtered candidate is prime. The single-row
+counts are Decimals; the density table reads float mantissas at each
+row's decade from digit_prime_mantissas, closed forms of the same
+differences.
 
 A filter policy keeps the integers coprime to its wheel modulus W, a
 fraction phi(W)/W of them, and no prime above 5 is lost, so the exact
@@ -25,51 +26,37 @@ from .sampling import FilterPolicy
 
 LN10 = math.log(10.0)
 
-DUSART_MIN = 60184
-
 
 class Mode(str, Enum):
     PUBLISHED = "published"
     CORRECTED = "corrected"
 
 
-def pnt_estimate(x: "int | float | Decimal") -> Decimal:
-    """x / ln x, the prime-number-theorem approximation to pi(x)."""
-    value = Decimal(x)
-    if not (value.is_finite() and value >= 2):
-        raise ValueError("x must be a finite number >= 2")
-    return value / value.ln()
-
-
 def digit_prime_count(k: int) -> Decimal:
-    """Approximate count of k-digit primes: pnt_estimate(10^k) - pnt_estimate(10^(k-1)).
+    """Approximate count of k-digit primes: x / ln x at x = 10^k less its value at 10^(k-1).
 
     Algebraically equal to 10^(k-1) (9k-10) / (ln 10 k(k-1)).
     """
     if k < 2:
         raise ValueError("digit count must be >= 2")
-    return pnt_estimate(Decimal(10) ** k) - pnt_estimate(Decimal(10) ** (k - 1))
-
-
-def dusart_bounds(x: "int | float | Decimal") -> tuple[Decimal, Decimal]:
-    """Explicit bracket x/(ln x - 1) < pi(x) < x/(ln x - 1.1), valid for x >= 60184."""
-    value = Decimal(x)
-    if not (value.is_finite() and value >= DUSART_MIN):
-        raise ValueError(f"bounds require a finite x >= {DUSART_MIN}")
-    ln_x = value.ln()
-    return value / (ln_x - 1), value / (ln_x - Decimal("1.1"))
+    top, bottom = Decimal(10) ** k, Decimal(10) ** (k - 1)
+    return top / top.ln() - bottom / bottom.ln()
 
 
 def digit_prime_count_bounds(k: int) -> tuple[Decimal, Decimal]:
-    """Rigorous bracket on the k-digit prime count from the pi(x) bounds.
+    """Rigorous bracket on the k-digit prime count from Dusart's pi(x) bounds.
 
-    Cross differences: lower(10^k) - upper(10^(k-1)) below, and
-    upper(10^k) - lower(10^(k-1)) above. Needs 10^(k-1) >= 60184, so
-    k >= 6.
+    x/(ln x - 1) < pi(x) < x/(ln x - 1.1) for x >= 60184 (arXiv:1002.0442);
+    the cross differences lower(10^k) - upper(10^(k-1)) and
+    upper(10^k) - lower(10^(k-1)) bracket the count. Needs
+    10^(k-1) >= 60184, so k >= 6.
     """
     if k < 6:
         raise ValueError("digit count must be >= 6 for a valid bracket")
-    (top_low, top_up), (bot_low, bot_up) = dusart_bounds(Decimal(10) ** k), dusart_bounds(Decimal(10) ** (k - 1))
+    (top_low, top_up), (bot_low, bot_up) = [
+        (x / (ln_x - 1), x / (ln_x - Decimal("1.1"))) for x in (Decimal(10) ** k, Decimal(10) ** (k - 1))
+        for ln_x in [x.ln()]
+    ]
     return top_low - bot_up, top_up - bot_low
 
 
@@ -94,17 +81,13 @@ def base_prime_prob(k: int) -> float:
     return (9 * k - 10) / (9 * k * (k - 1) * LN10)
 
 
-def filter_factor(policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> float:
-    """Density gain from the policy's wheel, W/phi(W); doubled at W = 30 in published mode."""
-    factor = policy.wheel / len(policy.offsets)
-    return 2 * factor if mode is Mode.PUBLISHED and policy is FilterPolicy.BOTH else factor
-
-
 def filtered_prime_prob(k: int, policy: FilterPolicy, mode: Mode = Mode.CORRECTED) -> float:
     """Prior probability that a filtered k-digit candidate is prime.
 
-    base_prime_prob scaled by the filter factor. For very small k the
+    base_prime_prob scaled by the density gain of the policy's wheel,
+    W/phi(W), doubled at W = 30 in published mode. For very small k the
     published-mode product can exceed 1, where the underlying
     approximation is meaningless; the value is returned as computed.
     """
-    return base_prime_prob(k) * filter_factor(policy, mode)
+    factor = policy.wheel / len(policy.offsets)
+    return base_prime_prob(k) * (2 * factor if mode is Mode.PUBLISHED and policy is FilterPolicy.BOTH else factor)

@@ -27,6 +27,13 @@ EVEN = TestVerdict(factor=2)
 # generate_prime refuses after this many candidates rather than run on.
 MAX_ATTEMPTS = 10**6
 
+# Largest digit count generate_prime, run_experiment and a density table take. Above it
+# CPython prints no int (sys.get_int_max_str_digits() is 4300 by default), so a number found
+# would fail to print; and the full 2-4300 density table, a few float closed forms per row,
+# takes about 0.02-0.04 s in-process in any format (Python 3.11, 2-CPU Xeon VM). Tests and
+# CI pin the 4301 refusal.
+DIGIT_CAP = 4300
+
 # Rows per _json_rows call in render_rows, so that a long census streams.
 JSON_CHUNK_ROWS = 1000
 
@@ -96,9 +103,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     for the candidate and then for the test bases, so results do not
     depend on execution order. An even candidate is composite by its
     factor 2 and draws no base. Digits below 2, count below 1 and rounds
-    below 1 raise ValueError, in that order, before the first draw.
+    below 1 raise ValueError, in that order, before the first draw, and
+    digits above DIGIT_CAP raise RefusalError just after the digit check.
     """
     prior = filtered_prime_prob(config.digits, config.policy, config.mode)
+    if config.digits > DIGIT_CAP:
+        raise RefusalError(f"numbers capped at {DIGIT_CAP} digits, got {config.digits}")
     if config.count < 1:
         raise ValueError("count must be >= 1")
     bound = bayes_confidence(prior, config.rounds).lower_bound
@@ -150,8 +160,11 @@ def generate_prime(
     attempt, and so the seeded result, unchanged. The prior and round
     count stay those of the filtered pool: the screen only removes
     composites, so the reported bound stays valid and is conservative.
+    Digits above DIGIT_CAP raise RefusalError before the first draw.
     """
     prior = filtered_prime_prob(digits, policy)
+    if digits > DIGIT_CAP:
+        raise RefusalError(f"numbers capped at {DIGIT_CAP} digits, got {digits}")
     rounds = rounds_for_confidence(prior, target_confidence)
     for attempt in range(MAX_ATTEMPTS):
         rng = make_stream(seed, attempt)

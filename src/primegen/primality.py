@@ -38,9 +38,10 @@ PARALLEL_MIN_BITS = 1280
 class TestVerdict:
     """Verdict of one or more test rounds, read from its evidence.
 
-    A verdict is composite iff it carries a witness base or a discovered
-    factor; with neither it is a probable prime. rounds_survived counts
-    the rounds that reported "probable prime".
+    A verdict is composite iff it carries a witness base or a factor; with
+    neither it is a probable prime. Rounds and drivers set only the witness;
+    only a verdict reached without a base (experiment.EVEN) sets a factor.
+    rounds_survived counts the rounds that reported "probable prime".
     """
 
     witness: int | None = None
@@ -77,11 +78,6 @@ def _chain(n: int, a: int) -> list[int]:
 _PASSED = TestVerdict(rounds_survived=1)  # frozen: one instance serves every pass
 
 
-def _witness(n: int, a: int, survived: int) -> TestVerdict:
-    g = math.gcd(a, n)  # a base sharing a factor with n fails every round
-    return TestVerdict(witness=a, factor=g if g > 1 else None, rounds_survived=survived)
-
-
 # Each test's pass condition, written once, on n and the chain of one base.
 ROUND_TESTS = {
     "fermat": lambda n, chain: chain[-1] == 1,
@@ -93,11 +89,11 @@ ROUND_TESTS = {
 def fermat_round(n: int, a: int) -> TestVerdict:
     """Probable prime iff a^(n-1) = 1 (mod n).
 
-    A shared factor gcd(a, n) > 1 is reported as composite evidence;
-    such bases can never satisfy the congruence.
+    A base sharing a factor with n can never satisfy the congruence, so
+    it is always a witness; gcd(witness, n) then recovers that factor.
     """
     _check_round_args(n, a)
-    return _PASSED if ROUND_TESTS["fermat"](n, _chain(n, a)) else _witness(n, a, 0)
+    return _PASSED if ROUND_TESTS["fermat"](n, _chain(n, a)) else TestVerdict(witness=a)
 
 
 def euler_round(n: int, a: int) -> TestVerdict:
@@ -108,7 +104,7 @@ def euler_round(n: int, a: int) -> TestVerdict:
     liar sets are equal, e.g. 1729, 2465 and 15841.
     """
     _check_round_args(n, a)
-    return _PASSED if ROUND_TESTS["euler"](n, _chain(n, a)) else _witness(n, a, 0)
+    return _PASSED if ROUND_TESTS["euler"](n, _chain(n, a)) else TestVerdict(witness=a)
 
 
 def miller_rabin_round(n: int, a: int) -> TestVerdict:
@@ -118,7 +114,7 @@ def miller_rabin_round(n: int, a: int) -> TestVerdict:
     chain entry before the last equals n - 1; odd primes always pass.
     """
     _check_round_args(n, a)
-    return _PASSED if ROUND_TESTS["miller_rabin"](n, _chain(n, a)) else _witness(n, a, 0)
+    return _PASSED if ROUND_TESTS["miller_rabin"](n, _chain(n, a)) else TestVerdict(witness=a)
 
 
 def mr_transcript(n: int, a: int) -> tuple[int, ...]:
@@ -174,7 +170,7 @@ def _multi_round(tests, n: int, rounds: int, rng: Stream) -> dict[str, TestVerdi
     for done, (a, chain) in enumerate(_base_chains(n, rounds, rng)):
         for test, verdict in verdicts.items():
             if verdict is None and not ROUND_TESTS[test](n, chain):
-                verdicts[test] = _witness(n, a, done)
+                verdicts[test] = TestVerdict(witness=a, rounds_survived=done)
         if all(verdicts.values()):
             return verdicts
     survived = TestVerdict(rounds_survived=rounds)

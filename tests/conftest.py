@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from functools import lru_cache
+from statistics import NormalDist
 
 import pytest
 from hypothesis import settings
@@ -52,3 +54,19 @@ def pi_exact():
         return sum(flags)
 
     return count
+
+
+def _uniform_p_value(values: list[int], cells: int) -> float:
+    expected, df = len(values) / cells, cells - 1
+    counts = Counter(values)
+    statistic = sum((counts[c] - expected) ** 2 for c in range(cells)) / expected
+    z = ((statistic / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    return 1 - NormalDist().cdf(z)
+
+
+@pytest.fixture(scope="session")
+def uniform_p_value():
+    """Upper-tail p-value of the chi-square statistic of `values` in range(cells)
+    against the uniform distribution, by the Wilson-Hilferty cube-root normal
+    approximation with cells - 1 degrees of freedom: uniform_p_value(values, cells)."""
+    return _uniform_p_value

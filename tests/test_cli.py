@@ -14,6 +14,16 @@ from primegen.density import digit_prime_count, digit_prime_count_bounds
 from primegen.sampling import FilterPolicy, pool_size
 
 
+class FixedBase:
+    """A stream stub whose every base is the one given."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def randint(self, lo, hi):
+        return self.base
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -57,7 +67,7 @@ class TestDensityCommand:
             bounds = [at(v, k) for v in digit_prime_count_bounds(k)] if k >= 6 else ["", ""]
             return [str(k), at(digit_prime_count(k), k), *bounds]
 
-        cap = cli.DENSITY_DIGIT_CAP
+        cap = experiment.DIGIT_CAP
         expected = [counts(k) for k in range(2, cap + 1)]
         for policy in FilterPolicy:
             code, out, _ = run_cli(capsys, "density", "--digits", f"2-{cap}", "--policy", policy.label, "--format", "csv")
@@ -111,11 +121,7 @@ class TestConfidenceCommand:
 class TestTestCommand:
     def test_fermat_false_positive_is_flagged(self, capsys, monkeypatch):
         # base 139 is a Fermat liar for 561 but an Euler (and strong) witness
-        class Base139:
-            def randint(self, lo, hi):
-                return 139
-
-        monkeypatch.setattr(cli, "make_stream", lambda seed: Base139())
+        monkeypatch.setattr(cli, "make_stream", lambda seed: FixedBase(139))
         code, out, _ = run_cli(capsys, "test", "561", "--rounds", "1")
         assert code == 0
         lines = out.splitlines()
@@ -123,6 +129,17 @@ class TestTestCommand:
         assert lines[1].startswith("fermat[m=1]: PROBABLE_PRIME") and "false positive" in lines[1]
         assert lines[2] == "euler[m=1]: COMPOSITE (witness 139)"
         assert lines[3] == "miller_rabin[m=1]: COMPOSITE (witness 139)"
+
+    def test_shared_factor_at_large_n(self, capsys, monkeypatch):
+        # n is the product of the Mersenne primes p = 2^521 - 1 and 2^607 - 1, past the exact
+        # oracle: base p prints the factor gcd(p, n) = p on every line, base 3 shares none
+        p = 2**521 - 1
+        n = p * (2**607 - 1)
+        for base, evidence in ((p, f"witness {p}, factor {p}"), (3, "witness 3")):
+            monkeypatch.setattr(cli, "make_stream", lambda seed: FixedBase(base))
+            code, out, err = run_cli(capsys, "test", str(n), "--rounds", "1")
+            assert code == 0 and err == "exact oracle: skipped (above bound)\n"
+            assert out.splitlines() == [f"{t}[m=1]: COMPOSITE ({evidence})" for t in ("fermat", "euler", "miller_rabin")]
 
     def test_unseeded_prime_input(self, capsys):
         code, out, _ = run_cli(capsys, "test", "97", "--rounds", "5")
@@ -318,6 +335,24 @@ def test_number_too_large_for_a_float_is_usage_error(capsys, no_work, argv):
     code, out, err = run_cli(capsys, *argv.split(), str(10**400))
     assert code == 2
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# CPython prints no int of more than 4300 digits by default, so above
+# experiment.DIGIT_CAP both commands refuse before the first draw ...
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_digits_above_the_cap_refused_before_any_draw(capsys, no_work, command):
+    code, out, err = run_cli(capsys, command, "--digits", str(experiment.DIGIT_CAP + 1))
+    assert code == 3
+    assert out == "" and err == "refused: numbers capped at 4300 digits, got 4301\n"
+
+
+# ... and at the cap the number prints. The strong test is stubbed to pass, so
+# no 14,000-bit chain runs.
+@pytest.mark.parametrize("argv", ["generate --seed 0", "experiment --count 1 --rounds 1 --seed 0"])
+def test_digits_at_the_cap_are_printed(capsys, monkeypatch, argv):
+    monkeypatch.setattr(experiment, "miller_rabin", lambda n, rounds, rng: primality.TestVerdict(rounds_survived=rounds))
+    code, out, _ = run_cli(capsys, *argv.split(), "--digits", str(experiment.DIGIT_CAP))
+    assert code == 0 and len(out.split()[0]) == experiment.DIGIT_CAP
 
 
 # Fermat's F11 = 2^2048 + 1 is composite; seed 1's first base is a witness to

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -9,10 +10,7 @@ from primegen.density import (
     digit_prime_count,
     digit_prime_count_bounds,
     digit_prime_mantissas,
-    dusart_bounds,
-    filter_factor,
     filtered_prime_prob,
-    pnt_estimate,
 )
 from primegen.sampling import FilterPolicy
 
@@ -26,24 +24,20 @@ def digit_prime_count_exact(k: int, pi_exact) -> int:
 
 
 class TestPntEstimate:
+    """x / ln x, read through the digit counts, its differences at decades."""
+
     def test_one_million(self, pi_exact):
-        est = float(pnt_estimate(10**6))
+        # the counts telescope: their sum over 2-6 digits is the estimate at 10^6 less 10 / ln 10
+        est = float(sum(digit_prime_count(k) for k in range(2, 7))) + 10 / LN10
         assert math.isclose(est, 1e6 / (6 * LN10), rel_tol=1e-12)
         assert math.isclose(est, 72382.41365, rel_tol=1e-9)
         ratio = est / pi_exact(10**6)
         assert 0.92 < ratio < 0.925
 
-    def test_fixed_point_when_log_is_one(self):
-        x = math.e
-        assert math.isclose(float(pnt_estimate(x)), x, rel_tol=1e-12)
-
     def test_huge_argument_is_log_safe(self):
-        est = pnt_estimate(10**75)
-        assert math.isclose(float(est), 1e75 / (75 * LN10), rel_tol=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pnt_estimate(1)
+        # 10^4300 is far past the largest float; the Decimal count keeps its closed form
+        mantissa = float(digit_prime_count(4300).scaleb(-4299))
+        assert math.isclose(mantissa, (9 * 4300 - 10) / (LN10 * 4300 * 4299), rel_tol=1e-12)
 
 
 class TestDigitPrimeCount:
@@ -73,25 +67,23 @@ class TestDigitPrimeCount:
 
 
 class TestDusartBounds:
-    def test_values_at_1e5(self, pi_exact):
-        lower, upper = dusart_bounds(10**5)
-        assert math.isclose(float(lower), 1e5 / (5 * LN10 - 1.0), rel_tol=1e-12)
-        assert math.isclose(float(upper), 1e5 / (5 * LN10 - 1.1), rel_tol=1e-12)
-        assert float(lower) < pi_exact(10**5) < float(upper)
+    """x/(ln x - 1) < pi(x) < x/(ln x - 1.1) for x >= 60184, read through the
+    6-digit bracket, whose lower decade 10^5 is the first above 60184."""
 
-    @pytest.mark.parametrize("exponent", [5, 6, 7])
-    def test_brackets_true_pi(self, exponent, pi_exact):
-        lower, upper = dusart_bounds(10**exponent)
-        true_pi = pi_exact(10**exponent)
-        assert float(lower) < true_pi < float(upper)
+    def test_values_at_1e5(self):
+        def pi_low(x, e):
+            return x / (e * LN10 - 1.0)
+
+        def pi_up(x, e):
+            return x / (e * LN10 - 1.1)
+
+        lower, upper = digit_prime_count_bounds(6)
+        assert math.isclose(float(lower), pi_low(1e6, 6) - pi_up(1e5, 5), rel_tol=1e-12)
+        assert math.isclose(float(upper), pi_up(1e6, 6) - pi_low(1e5, 5), rel_tol=1e-12)
 
     def test_ordering_at_validity_edge(self):
-        lower, upper = dusart_bounds(60184)
+        lower, upper = digit_prime_count_bounds(6)
         assert lower < upper
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            dusart_bounds(60183)
 
 
 class TestDigitPrimeCountBounds:
@@ -115,10 +107,17 @@ class TestDigitPrimeCountBounds:
 class TestDigitPrimeCounts:
     def test_rows_equal_the_definitions(self):
         # exact Decimal equality: the single-row functions must equal the
-        # differences of the definitions
+        # differences of the definitions, written out here
+        def pnt(x):
+            return x / x.ln()
+
+        def dusart(x):
+            return x / (x.ln() - 1), x / (x.ln() - Decimal("1.1"))
+
         for k in range(6, 41):
-            (top_low, top_up), (bot_low, bot_up) = dusart_bounds(10**k), dusart_bounds(10 ** (k - 1))
-            assert digit_prime_count(k) == pnt_estimate(10**k) - pnt_estimate(10 ** (k - 1))
+            top, bottom = Decimal(10**k), Decimal(10 ** (k - 1))
+            (top_low, top_up), (bot_low, bot_up) = dusart(top), dusart(bottom)
+            assert digit_prime_count(k) == pnt(top) - pnt(bottom)
             assert digit_prime_count_bounds(k) == (top_low - bot_up, top_up - bot_low)
 
     def test_single_row_and_domain_error(self):
@@ -162,10 +161,10 @@ class TestFilteredPrimeProb:
         assert 0 < base <= filtered < 1
 
     def test_factors(self):
-        assert filter_factor(NONE) == 1.0
-        assert filter_factor(LAST) == 2.5
-        assert filter_factor(BOTH, Mode.PUBLISHED) == 7.5
-        assert filter_factor(BOTH, Mode.CORRECTED) == 3.75
+        # W/phi(W) is exact in binary for every wheel; published mode doubles only the both-filters gain
+        for policy, mode, factor in ((NONE, Mode.PUBLISHED, 1.0), (LAST, Mode.PUBLISHED, 2.5),
+                                     (BOTH, Mode.PUBLISHED, 7.5), (BOTH, Mode.CORRECTED, 3.75)):
+            assert filtered_prime_prob(75, policy, mode) == base_prime_prob(75) * factor
 
     def test_six_digit_corrected_value(self):
         assert math.isclose(filtered_prime_prob(6, BOTH, Mode.CORRECTED), 0.2654, rel_tol=1e-3)
@@ -184,9 +183,3 @@ class TestFilteredPrimeProb:
         with pytest.raises(ValueError):
             filtered_prime_prob(1, BOTH)
 
-
-@pytest.mark.parametrize("x", [math.nan, math.inf])
-@pytest.mark.parametrize("estimate", [pnt_estimate, dusart_bounds])
-def test_non_finite_argument_is_domain_error(estimate, x):
-    with pytest.raises(ValueError):
-        estimate(x)

@@ -176,6 +176,17 @@ class TestGeneratePrime:
                 assert len(str(result.value)) == digits
                 assert trial_division(result.value).outcome is ExactOutcome.PRIME
 
+    def test_draws_uniformly_from_the_pools_primes(self, uniform_p_value):
+        # Sample and threshold were fixed before the first run; never re-seed to pass.
+        # 2860 seeds, 20 per three-digit prime: each value is one of them, and the
+        # counts fail at a chi-square p-value below 1e-3.
+        primes = [n for n in range(100, 1000) if trial_division(n).outcome is ExactOutcome.PRIME]
+        assert len(primes) == 143
+        index = {p: i for i, p in enumerate(primes)}
+        values = [generate_prime(3, 0.999, seed=seed).value for seed in range(2860)]
+        assert set(values) <= set(primes)
+        assert uniform_p_value([index[v] for v in values], len(primes)) > 1e-3
+
     def test_attempt_cap_refuses(self, monkeypatch):
         monkeypatch.setattr(experiment, "MAX_ATTEMPTS", 0)
         with pytest.raises(RefusalError):

@@ -1,8 +1,6 @@
 import hashlib
 import math
 import random
-from collections import Counter
-from statistics import NormalDist
 
 import pytest
 
@@ -222,7 +220,7 @@ class TestMakeStream:
             b = make_stream(seed ^ 1, index ^ 1).getrandbits(64)
             assert a != b
 
-    def test_seeded_streams_look_independent(self):
+    def test_seeded_streams_look_independent(self, uniform_p_value):
         # Sample and threshold were fixed before the first run; never re-seed to pass.
         # Seeds 0-199 x indices 0-49 at 20 digits; each chi-square statistic is
         # against the uniform distribution, and fails at a p-value below 1e-6.
@@ -246,7 +244,7 @@ class TestMakeStream:
             neighbours[f"seed bit {bit}"] = [((s, i), (s | 1 << bit, i)) for s, i in grid if not s >> bit & 1]
         for name, pairs in neighbours.items():
             samples[f"joint mod 7, {name}"] = ([7 * (candidate(a) % 7) + candidate(b) % 7 for a, b in pairs], 49)
-        p_values = {name: _uniform_p_value(values, cells) for name, (values, cells) in samples.items()}
+        p_values = {name: uniform_p_value(values, cells) for name, (values, cells) in samples.items()}
         assert min(p_values.values()) >= 1e-6, p_values
 
 
@@ -289,14 +287,3 @@ class TestKeyedStream:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             make_stream(1).randrange(0)
-
-
-def _uniform_p_value(values: list[int], cells: int) -> float:
-    """Upper-tail p-value of the chi-square statistic of `values` in range(cells)
-    against the uniform distribution, by the Wilson-Hilferty cube-root normal
-    approximation with cells - 1 degrees of freedom."""
-    expected, df = len(values) / cells, cells - 1
-    counts = Counter(values)
-    statistic = sum((counts[c] - expected) ** 2 for c in range(cells)) / expected
-    z = ((statistic / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-    return 1 - NormalDist().cdf(z)
