@@ -22,8 +22,7 @@ from .confidence import bayes_confidence, rounds_for_confidence
 from .density import Mode, base_prime_prob, digit_prime_mantissas, filtered_prime_prob
 from .density import digit_prime_count, digit_prime_count_bounds  # noqa: F401 (bench/spans.py wraps them here)
 from .errors import RefusalError
-from .experiment import ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
-from .experiment import DIGIT_CAP, _json_document
+from .experiment import DIGIT_CAP, ExperimentConfig, generate_prime, render_fields, render_report, render_rows, run_experiment
 from .primality import ExactOutcome, compare_tests, trial_division
 from .primality import euler_test, fermat_test, miller_rabin  # noqa: F401 (bench/spans.py wraps them here)
 from .sampling import FilterPolicy, make_stream, pool_size
@@ -234,10 +233,7 @@ def _cmd_density(args: argparse.Namespace) -> None:
         # Dusart's bracket needs 10^(k-1) >= 60184
         dusart = (f"{lower:.9f}{exp}", f"{upper:.9f}{exp}") if k >= 6 else ("", "")
         rows.append((k, pool + exp, f"{count:.9f}{exp}", *dusart, f"{base_prime_prob(k):.9f}", f"{prob:.9f}"))
-    if args.format == "json":
-        print(_json_document({"policy": args.policy, "mode": args.mode}, "rows", header, rows))
-    else:
-        print("".join(render_rows(header, rows, args.format)))
+    print("".join(render_rows(header, rows, args.format, ({"policy": args.policy, "mode": args.mode}, "rows"))))
     if above_one:
         print(f"note: filtered_prob >= 1 at {', '.join(above_one)} digits;"
               f" the {mode.value} prior is not a probability there", file=sys.stderr)

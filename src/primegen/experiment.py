@@ -9,6 +9,7 @@ are identical across runs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -27,20 +28,19 @@ EVEN = TestVerdict(factor=2)
 # generate_prime refuses after this many candidates rather than run on.
 MAX_ATTEMPTS = 10**6
 
-# Largest digit count generate_prime, run_experiment and a density table take. Above it
-# CPython prints no int (sys.get_int_max_str_digits() is 4300 by default), so a number found
-# would fail to print; and the full 2-4300 density table, a few float closed forms per row,
-# takes about 0.02-0.04 s in-process in any format (Python 3.11, 2-CPU Xeon VM). Tests and
-# CI pin the 4301 refusal.
+# Largest digit count generate_prime, run_experiment and a density table take: CPython prints
+# no int above sys.get_int_max_str_digits(), 4300 by default (_check_digits takes a lower one),
+# and the full 2-4300 density table, a few float closed forms per row, takes about 0.02-0.04 s
+# in-process in any format (Python 3.11, 2-CPU Xeon VM). Tests and CI pin the 4301 refusal.
 DIGIT_CAP = 4300
 
-# Rows per _json_rows call in render_rows, so that a long census streams.
+# Rows per _json_rows call in render_rows, so that a long table streams.
 JSON_CHUNK_ROWS = 1000
 
 # Every cell of a _json_rows call in one C-encoder call (indent=None), NUL-separated:
 # the encoder writes a NUL inside a string as \u0000, so a raw NUL is a separator.
 _CELLS = json.JSONEncoder(separators=("\0", ": "))
-# Stands in for the rows in _json_document's object; json.dumps writes it as _ROWS_JSON.
+# Stands in for the rows in render_rows' `within` object; json.dumps writes it as _ROWS_JSON.
 _ROWS, _ROWS_JSON = "\0rows", '"\\u0000rows"'
 
 
@@ -104,11 +104,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     depend on execution order. An even candidate is composite by its
     factor 2 and draws no base. Digits below 2, count below 1 and rounds
     below 1 raise ValueError, in that order, before the first draw, and
-    digits above DIGIT_CAP raise RefusalError just after the digit check.
+    _check_digits refuses a number too long to print just after the digit check.
     """
     prior = filtered_prime_prob(config.digits, config.policy, config.mode)
-    if config.digits > DIGIT_CAP:
-        raise RefusalError(f"numbers capped at {DIGIT_CAP} digits, got {config.digits}")
+    _check_digits(config.digits)
     if config.count < 1:
         raise ValueError("count must be >= 1")
     bound = bayes_confidence(prior, config.rounds).lower_bound
@@ -160,11 +159,10 @@ def generate_prime(
     attempt, and so the seeded result, unchanged. The prior and round
     count stay those of the filtered pool: the screen only removes
     composites, so the reported bound stays valid and is conservative.
-    Digits above DIGIT_CAP raise RefusalError before the first draw.
+    _check_digits refuses a number too long to print before the first draw.
     """
     prior = filtered_prime_prob(digits, policy)
-    if digits > DIGIT_CAP:
-        raise RefusalError(f"numbers capped at {DIGIT_CAP} digits, got {digits}")
+    _check_digits(digits)
     rounds = rounds_for_confidence(prior, target_confidence)
     for attempt in range(MAX_ATTEMPTS):
         rng = make_stream(seed, attempt)
@@ -182,24 +180,35 @@ def generate_prime(
     raise RefusalError(f"no candidate survived within {MAX_ATTEMPTS} attempts")
 
 
-def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str) -> Iterator[str]:
+def _check_digits(digits: int) -> None:
+    """Refuse more digits than DIGIT_CAP or a lower int-to-string limit (0, or none before Python 3.10.7: no limit)."""
+    cap = min(DIGIT_CAP, getattr(sys, "get_int_max_str_digits", int)() or DIGIT_CAP)
+    if digits > cap:
+        raise RefusalError(f"numbers capped at {cap} digits, got {digits}")
+
+
+def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str, within: tuple | None = None) -> Iterator[str]:
     """Rows under a header as csv, a json array of objects, or a table, in
     pieces that joined make the text, with no final newline: csv row by row,
     json JSON_CHUNK_ROWS rows at a time, a table at once, its columns left-
     aligned, padded to their widest cell and two spaces apart. Cells are
     rendered with str(), so callers pass numbers already formatted where a
-    fixed form matters.
+    fixed form matters. Given within=(obj, key), json writes the array as
+    json.dumps({**obj, key: array}, indent=2) does, key in its place in obj or
+    else last: the array one level deep, between the object's text around it.
     """
     if fmt == "csv":
         yield ",".join(header)
         for row in rows:
             yield "\n" + ",".join(map(str, row))
     elif fmt == "json":
-        rows, sep = iter(rows), "["
+        text = json.dumps({**within[0], within[1]: _ROWS}, indent=2) if within else _ROWS_JSON
+        head, _, tail = text.partition(_ROWS_JSON)
+        rows, depth, sep = iter(rows), int(within is not None), head + "["
         while chunk := list(islice(rows, JSON_CHUNK_ROWS)):
-            yield sep + _json_rows(header, chunk, 0)[1:-2]  # the items, without the "[" and "\n]" around them
+            yield sep + _json_rows(header, chunk, depth)
             sep = ","
-        yield "[]" if sep == "[" else "\n]"
+        yield (head + "[]" if sep != "," else "\n" + "  " * depth + "]") + tail
     elif fmt == "table":
         cells = [list(header)] + [[str(v) for v in row] for row in rows]
         widths = [max(map(len, column)) for column in zip(*cells)]
@@ -208,32 +217,21 @@ def render_rows(header: Sequence[str], rows: Iterable[Iterable], fmt: str) -> It
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _json_rows(header: Sequence[str], rows: Iterable[Iterable], depth: int) -> str:
-    """json.dumps([dict(zip(header, row)) for row in rows], indent=2), byte for
-    byte, laid out as a value nested `depth` levels deep in an indent=2 document.
+def _json_rows(header: Sequence[str], rows: Sequence[Iterable], depth: int) -> str:
+    """json.dumps([dict(zip(header, row)) for row in rows], indent=2) without its
+    "[" and final "\\n]", byte for byte, laid out `depth` levels deep in an indent=2 document.
 
-    Cells must be scalars (str, int, float, None or bool), one per key of
-    header, which has at least one key and no key twice. _CELLS encodes all
-    the cells in one call, and one format call lays them into a template of
+    rows is not empty. Cells must be scalars (str, int, float, None or bool), one
+    per key of header, which has at least one key and no key twice. _CELLS encodes
+    all the cells in one call, and one format call lays them into a template of
     the rows. From Python 3.13 on json.dumps with an indent runs the C encoder
     itself, so this can go once requires-python reaches 3.13.
     """
-    cells = [cell for row in rows for cell in row]
-    if not cells:
-        return "[]"
     pad = "\n" + "  " * (depth + 1)
     keys = _CELLS.encode(list(header))[1:-1].replace("{", "{{").replace("}", "}}").split("\0")
     row = "," + pad + "{{" + ",".join(pad + "  " + key + ": {}" for key in keys) + pad + "}}"
-    cells = _CELLS.encode(cells)[1:-1].split("\0")
-    return "[" + (row * (len(cells) // len(keys)))[1:].format(*cells) + pad[:-2] + "]"
-
-
-def _json_document(obj: dict, key: str, header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """json.dumps({**obj, key: [dict(zip(header, row)) for row in rows]}, indent=2),
-    byte for byte: key keeps its place in obj if obj has it, else comes last.
-    The rows are cells as _json_rows takes them; _ROWS holds their place
-    while json.dumps writes the rest."""
-    return json.dumps({**obj, key: _ROWS}, indent=2).replace(_ROWS_JSON, _json_rows(header, rows, 1), 1)
+    cells = _CELLS.encode([cell for row in rows for cell in row])[1:-1].split("\0")
+    return (row * (len(cells) // len(keys)))[1:].format(*cells)
 
 
 def render_fields(fields: Iterable[tuple[str, object]]) -> str:
@@ -248,19 +246,17 @@ def render_report(records: Iterable[ExperimentRecord], output_format: str, summa
     and the summary block. csv: CSV_HEADER, no summary. json: records array
     plus summary. A PRIME row's confidence_lower_bound is the summary's, the
     run's one bound; a COMPOSITE row's is an empty csv cell or a json null.
+    csv and json leave through render_rows, whose ValueError is an unknown format's.
     """
     bound = summary.confidence_lower_bound
-    values = [
-        (r.candidate.n, "PRIME", r.verdict.rounds_survived, bound)
+    prime_bound, composite_bound = (f"{bound:.9f}", "") if output_format == "csv" else (bound, None)
+    rows = [
+        (r.candidate.n, "PRIME", r.verdict.rounds_survived, prime_bound)
         if r.verdict.is_probable_prime
-        else (r.candidate.n, "COMPOSITE", r.rounds_used, None)
+        else (r.candidate.n, "COMPOSITE", r.rounds_used, composite_bound)
         for r in records
     ]
     if output_format == "table":
-        return "\n".join([f"{n} {label}" for n, label, _, _ in values] + ["", render_fields(summary.fields())])
-    if output_format == "csv":
-        rows = [(n, label, used, "" if bound is None else f"{bound:.9f}") for n, label, used, bound in values]
-        return "".join(render_rows(CSV_HEADER, rows, "csv"))
-    if output_format == "json":
-        return _json_document({"records": None, "summary": summary.__dict__}, "records", CSV_HEADER, values)
-    raise ValueError(f"unknown output format {output_format!r}")
+        return "\n".join([f"{n} {label}" for n, label, _, _ in rows] + ["", render_fields(summary.fields())])
+    within = ({"records": None, "summary": summary.__dict__}, "records")
+    return "".join(render_rows(CSV_HEADER, rows, output_format, within))

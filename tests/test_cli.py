@@ -72,9 +72,14 @@ class TestDensityCommand:
         for policy in FilterPolicy:
             code, out, _ = run_cli(capsys, "density", "--digits", f"2-{cap}", "--policy", policy.label, "--format", "csv")
             assert code == 0
-            rows = [line.split(",") for line in out.splitlines()[1:]]
+            header, *rows = [line.split(",") for line in out.splitlines()]
             assert [row[:1] + row[2:5] for row in rows] == expected
             assert [row[1] for row in rows] == [at(Decimal(pool_size(k, policy)), k) for k in range(2, cap + 1)]
+            # the same rows as json, over more than one chunk of experiment.JSON_CHUNK_ROWS
+            code, out, _ = run_cli(capsys, "density", "--digits", "2-1200", "--policy", policy.label, "--format", "json")
+            objects = [dict(zip(header, [int(row[0]), *row[1:]])) for row in rows[:1199]]
+            assert code == 0
+            assert out == json.dumps({"policy": policy.label, "mode": "corrected", "rows": objects}, indent=2) + "\n"
 
     def test_published_density_above_one_noted_on_stderr(self, capsys):
         code, _, err = run_cli(capsys, *"density --digits 2-4 --mode published --format csv".split())
@@ -338,12 +343,19 @@ def test_number_too_large_for_a_float_is_usage_error(capsys, no_work, argv):
 
 
 # CPython prints no int of more than 4300 digits by default, so above
-# experiment.DIGIT_CAP both commands refuse before the first draw ...
+# experiment.DIGIT_CAP, or above a lower int-to-string limit, both commands
+# refuse before the first draw ...
 @pytest.mark.parametrize("command", ["generate", "experiment"])
 def test_digits_above_the_cap_refused_before_any_draw(capsys, no_work, command):
-    code, out, err = run_cli(capsys, command, "--digits", str(experiment.DIGIT_CAP + 1))
-    assert code == 3
-    assert out == "" and err == "refused: numbers capped at 4300 digits, got 4301\n"
+    default = sys.get_int_max_str_digits()
+    for limit, digits, cap in ((4300, 4301, 4300), (0, 4301, 4300), (640, 700, 640)):  # 0: no limit
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run_cli(capsys, command, "--digits", str(digits))
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert code == 3
+        assert out == "" and err == f"refused: numbers capped at {cap} digits, got {digits}\n"
 
 
 # ... and at the cap the number prints. The strong test is stubbed to pass, so

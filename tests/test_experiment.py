@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from primegen.experiment import (
     ExperimentSummary,
     generate_prime,
     render_report,
+    render_rows,
     run_experiment,
 )
 from primegen.primality import ExactOutcome, miller_rabin, trial_division
@@ -243,14 +245,17 @@ class TestRenderReport:
             render_report(_fake_records(), "yaml", SUMMARY)
 
     def test_json_is_json_dumps_with_indent(self):
-        records, summary = run_experiment(ExperimentConfig(digits=75, count=20, rounds=5, seed=9))
-        bound = summary.confidence_lower_bound
-        payload = {
-            "records": [dict(zip(experiment.CSV_HEADER, (r.candidate.n, r.label, r.rounds_used,
-                                                         bound if r.label == "PRIME" else None))) for r in records],
-            "summary": summary.__dict__,
-        }
-        assert render_report(records, "json", summary) == json.dumps(payload, indent=2)
+        # 2500 records span three chunks of experiment.JSON_CHUNK_ROWS
+        for config in (ExperimentConfig(digits=75, count=20, rounds=5, seed=9),
+                       ExperimentConfig(digits=12, count=2500, rounds=3, seed=5)):
+            records, summary = run_experiment(config)
+            bound = summary.confidence_lower_bound
+            payload = {
+                "records": [dict(zip(experiment.CSV_HEADER, (r.candidate.n, r.label, r.rounds_used,
+                                                             bound if r.label == "PRIME" else None))) for r in records],
+                "summary": summary.__dict__,
+            }
+            assert render_report(records, "json", summary) == json.dumps(payload, indent=2)
 
 
 # text with quotes, backslashes, NUL and other control characters, non-ASCII characters and braces
@@ -262,18 +267,21 @@ cells = st.one_of(
 
 
 class TestJsonRows:
-    """experiment._json_rows against json.dumps with indent=2, the layout it must reproduce."""
+    """render_rows' json against json.dumps with indent=2, the layout it must reproduce,
+    with two rows per _json_rows call so that short lists cross chunk seams."""
 
     @given(header=st.lists(texts, min_size=1, max_size=5, unique=True), data=st.data())
     def test_matches_json_dumps(self, header, data):
-        rows = data.draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)), max_size=6))
+        rows = data.draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)), max_size=7))
         objects = [dict(zip(header, row)) for row in rows]
-        assert experiment._json_rows(header, rows, 0) == json.dumps(objects, indent=2)
-        # depth 1, through _json_document: the key keeps its place in the object, or comes last
-        assert experiment._json_document({"rows": None, "n": 2}, "rows", header, rows) == json.dumps(
-            {"rows": objects, "n": 2}, indent=2)
-        assert experiment._json_document({"n": 2}, "rows", header, rows) == json.dumps(
-            {"n": 2, "rows": objects}, indent=2)
+        with mock.patch.object(experiment, "JSON_CHUNK_ROWS", 2):
+            assert "".join(render_rows(header, rows, "json")) == json.dumps(objects, indent=2)
+            # depth 1, inside an object: the key keeps its place in the object, or comes last
+            assert "".join(render_rows(header, rows, "json", ({"rows": None, "n": 2}, "rows"))) == json.dumps(
+                {"rows": objects, "n": 2}, indent=2)
+            assert "".join(render_rows(header, rows, "json", ({"n": 2}, "rows"))) == json.dumps(
+                {"n": 2, "rows": objects}, indent=2)
 
     def test_no_rows_is_an_empty_array(self):
-        assert experiment._json_rows(["a"], [], 0) == experiment._json_rows(["a"], [], 1) == "[]"
+        assert "".join(render_rows(["a"], [], "json")) == "[]"
+        assert "".join(render_rows(["a"], iter(()), "json", ({"n": 2}, "rows"))) == json.dumps({"n": 2, "rows": []}, indent=2)
