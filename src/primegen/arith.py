@@ -12,7 +12,7 @@ are copied straight into the limbs GMP allocated for them.
 Each call through a ctypes CDLL releases the GIL until it returns, so
 an mpz_powm on one thread runs alongside the other threads' modexps;
 builtin pow holds the GIL throughout. The round loop in primality relies
-on this only to compute the chains of a large n on several CPUs at once.
+on this only to compute the head modexps of a large n on several CPUs at once.
 """
 
 from __future__ import annotations

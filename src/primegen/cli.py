@@ -34,9 +34,9 @@ EXIT_REFUSED = 3
 
 # Most rounds `test` and `experiment` run per test. A probable prime's error
 # bound is 4^-100 < 10^-60 there; 100 rounds on a 2048-bit prime take about
-# 0.35 s with GMP on 2 CPUs (0.55 s on one) and about 4.4 s with builtin pow
-# (Python 3.11), and the cost grows linearly with the round count. Every base
-# of a probable prime is drawn before its rounds run, so memory grows with it too.
+# 0.16 s with GMP on 2 CPUs (0.28 s on one) and about 2.7 s with builtin pow
+# (Python 3.11, 2-CPU x86-64), and the cost grows linearly with the round count.
+# Every base of a probable prime is drawn before its rounds run, so memory grows with it too.
 ROUND_CAP = 100
 
 POLICIES = {p.label: p for p in FilterPolicy}

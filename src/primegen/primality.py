@@ -22,13 +22,14 @@ from .arith import decompose_pow2, mod_pow
 from .errors import RefusalError
 from .sampling import Stream
 
-# Smallest n, in bits, whose bases after the first have their chains computed
-# concurrently. mpz_powm releases the GIL, but each modexp makes 5 foreign
-# calls, all but the result read releasing it, and the threads hand the GIL back
-# and forth at each of those, which costs more than the overlap gains on small moduli.
-# compare_tests(p, 10) on a prime p, 10 seeds per side, pool against one chain at
-# a time, in alternating pairs (2 CPUs, x86-64, GMP 6.2.1, Python 3.11, measured
-# when a modexp made 13 foreign calls); pool wins at 512/768/1024/1152/1280/1536 bits:
+# Smallest head exponent m (n - 1 = 2^s * m), in bits, whose heads a^m are computed
+# concurrently. mpz_powm releases the GIL, but each modexp makes 5 foreign calls, all but
+# the result read releasing it, and the threads hand the GIL back and forth at each of
+# those, which costs more than the overlap gains on small heads (x1.08 on 2^2048 + 1, m = 1).
+# Measured on n, m having all but s of its bits, with whole chains and the first alone;
+# not re-derived for heads only: compare_tests(p, 10) on a prime p, 10 seeds per side, pool
+# against one chain at a time, in alternating pairs (2 CPUs, x86-64, GMP 6.2.1, Python 3.11,
+# measured when a modexp made 13 foreign calls); pool wins at 512/768/1024/1152/1280/1536 bits:
 # 0/20 (x0.74), 8/20 (x0.96), 26/40 (x1.14), 45/50 (x1.34), 67/70 (x1.24-1.44),
 # 49/50 (x1.39-1.50). The least of 768/1024/1280/1536 bits winning 9 in 10; 1152 just did.
 PARALLEL_MIN_BITS = 1280
@@ -64,15 +65,20 @@ def _check_round_args(n: int, a: int | None = None) -> None:
         raise ValueError(f"base must lie in [2, {n - 2}], got {a}")
 
 
+def _squarings(n: int, s: int, head: int) -> list[int]:
+    """[head, head^2, ..., head^(2^s)] mod n: the chain that follows its head a^m."""
+    chain = [head]
+    for _ in range(s):
+        chain.append(chain[-1] * chain[-1] % n)
+    return chain
+
+
 def _chain(n: int, a: int) -> list[int]:
     """[a^m, a^(2m), ..., a^(n-1)] mod n for odd n >= 3, where n - 1 = 2^s * m, m odd.
     Fermat reads the last entry, Euler the one before it, and the strong
     test the head plus any n - 1 before the last entry."""
     s, m = decompose_pow2(n - 1)
-    chain = [mod_pow(a, m, n)]
-    for _ in range(s):
-        chain.append(chain[-1] * chain[-1] % n)
-    return chain
+    return _squarings(n, s, mod_pow(a, m, n))
 
 
 _PASSED = TestVerdict(rounds_survived=1)  # frozen: one instance serves every pass
@@ -134,40 +140,45 @@ def _cpu_count() -> int:
 
 @functools.cache
 def _pool():
-    """One thread per CPU for the chains of a large n, created on first use."""
+    """One thread per CPU for the head modexps of a large n, created on first use."""
     from concurrent.futures import ThreadPoolExecutor  # not at import: most runs never need it
 
     return ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="primegen-chain")
 
 
-def _base_chains(n: int, rounds: int, rng: Stream):
+def _base_chains(n: int, rounds: int, rng: Stream, *, first_alone: bool = True):
     """(base, chain) for up to `rounds` uniform bases in [2, n-2] from `rng`.
 
-    The first chain is computed alone; a caller asks for the next only
-    while a test is still open. Then the remaining bases are drawn at once
-    and their chains read back in base order. For n of at least
-    PARALLEL_MIN_BITS bits with GMP bound (its mpz_powm runs without the
-    GIL; builtin pow holds it) and more than one CPU, those chains are
-    computed on _pool(); otherwise each is computed when it is asked for.
+    With first_alone the first base is drawn and judged alone, and a caller
+    asks for the next only while a test is still open. The other bases are
+    drawn at once and their chains read back in base order. For several of
+    them, m of at least PARALLEL_MIN_BITS bits, GMP bound (its mpz_powm runs
+    without the GIL; builtin pow holds it) and more than one CPU, every head
+    a^m is computed on _pool() at once and the calling thread squares each
+    into its chain as it reads it; otherwise each head is computed when its
+    chain is asked for. Closing early cancels the heads not yet started.
     """
-    a = rng.randint(2, n - 2)
-    yield a, _chain(n, a)
-    bases = [rng.randint(2, n - 2) for _ in range(rounds - 1)]
-    concurrent = bases and n.bit_length() >= PARALLEL_MIN_BITS and arith._libgmp() is not None and _cpu_count() > 1
-    yield from zip(bases, (_pool().map if concurrent else map)(_chain, [n] * len(bases), bases))
+    s, m = decompose_pow2(n - 1)
+    if first_alone:
+        a = rng.randint(2, n - 2)
+        yield a, _squarings(n, s, mod_pow(a, m, n))
+    bases = [rng.randint(2, n - 2) for _ in range(rounds - first_alone)]
+    concurrent = len(bases) > 1 and m.bit_length() >= PARALLEL_MIN_BITS and arith._libgmp() is not None and _cpu_count() > 1
+    heads = (_pool().map if concurrent else map)(mod_pow, bases, [m] * len(bases), [n] * len(bases))
+    yield from zip(bases, (_squarings(n, s, head) for head in heads))
 
 
-def _multi_round(tests, n: int, rounds: int, rng: Stream) -> dict[str, TestVerdict]:
-    """Verdicts of the named ROUND_TESTS on n over up to `rounds` uniform bases
-    in [2, n-2] from `rng`. One chain per base is read by each test still
-    open; a failing test's verdict has rounds_survived = the bases it
-    passed, and no further chain is read once every test has failed.
+def _multi_round(tests, n: int, rounds: int, rng: Stream, *, first_alone: bool = True) -> dict[str, TestVerdict]:
+    """Verdicts of the named ROUND_TESTS on n over up to `rounds` bases that
+    _base_chains(first_alone) draws from `rng`. One chain per base is read by
+    each test still open; a failing test's verdict has rounds_survived = the
+    bases it passed, and no further chain is read once every test has failed.
     """
     _check_round_args(n)
     if rounds < 1:
         raise ValueError("round count must be >= 1")
     verdicts: dict[str, TestVerdict | None] = dict.fromkeys(tests)
-    for done, (a, chain) in enumerate(_base_chains(n, rounds, rng)):
+    for done, (a, chain) in enumerate(_base_chains(n, rounds, rng, first_alone=first_alone)):
         for test, verdict in verdicts.items():
             if verdict is None and not ROUND_TESTS[test](n, chain):
                 verdicts[test] = TestVerdict(witness=a, rounds_survived=done)
@@ -197,8 +208,9 @@ def euler_test(n: int, rounds: int, rng: Stream) -> TestVerdict:
 
 
 def compare_tests(n: int, rounds: int, rng: Stream) -> dict[str, TestVerdict]:
-    """Every ROUND_TESTS verdict on n from one base sequence: one chain per base serves all."""
-    return _multi_round(ROUND_TESTS, n, rounds, rng)
+    """Every ROUND_TESTS verdict on n from one base sequence, one chain per base serving all. All
+    `rounds` bases are drawn before any is judged: the stream is always left `rounds` draws on."""
+    return _multi_round(ROUND_TESTS, n, rounds, rng, first_alone=False)
 
 
 class ExactOutcome(Enum):

@@ -32,11 +32,11 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Fail the test if a chain is built or a candidate drawn."""
+    """Fail the test if a round's modexp is made or a candidate drawn."""
     def fail(*args):
-        raise AssertionError("chain built or candidate drawn before the check")
+        raise AssertionError("modexp made or candidate drawn before the check")
 
-    monkeypatch.setattr(primality, "_chain", fail)
+    monkeypatch.setattr(primality, "mod_pow", fail)
     monkeypatch.setattr(experiment, "random_candidate", fail)
 
 
@@ -379,6 +379,23 @@ F11_WITNESS = (
     "59340860020773053"
 )
 
+# Chernick's (6k+1)(12k+1)(18k+1) with this k: a 2043-bit (615-digit) Carmichael
+# number whose three factors of 681, 682 and 682 bits are probable primes (each
+# passed 25 strong rounds), so that it is one is conditional on them. Every
+# coprime base passes the Fermat and +-1 Euler rounds, and about 1/8 of all bases
+# the strong round; seed 1's first base is a strong witness.
+CHERNICK_K = 2**680 // 6 + 8673189
+CHERNICK = (6 * CHERNICK_K + 1) * (12 * CHERNICK_K + 1) * (18 * CHERNICK_K + 1)
+CHERNICK_WITNESS = (
+    "2796406345718927544705024290300055541126003014797267051476530433831986226383138258692483389291974941"
+    "7269079518293729853060752278639465471634619617793138299144452960860479906689652048364138728397425871"
+    "4374082416392721150669271702079694343534093199372356611139194687921701384426613899831662034860454850"
+    "7545742420522458882370504737642040089569450052165008772627376825530988831122691016723726668123427458"
+    "8216771441790821056505099202207408930082390614477683924491280044687818975490776253864544945815884683"
+    "9520972425320154278882004479237395588230956797719336791417086686945457379416512222642541749271933458"
+    "596574419504269"
+)
+
 # CLI stdout bytes are part of the behaviour contract. These commands run all
 # three round tests through their drivers, the liar census, and every report
 # renderer: tables with padded and empty columns, csv, json and key: value lines.
@@ -409,8 +426,8 @@ fermat[m=10]: PROBABLE_PRIME
 euler[m=10]: PROBABLE_PRIME
 miller_rabin[m=10]: PROBABLE_PRIME
 """,
-    # 2^2203 - 1 and 2^2048 + 1 lie above primality.PARALLEL_MIN_BITS: after
-    # the first base, the prime's chains run concurrently.
+    # The heads a^m of 2^2203 - 1 and CHERNICK have m above primality.PARALLEL_MIN_BITS:
+    # on two CPUs every base's head runs on the pool. 2^2048 + 1 has m = 1: no pool.
     f"test {2**2203 - 1} --rounds 10 --seed 1": """\
 fermat[m=10]: PROBABLE_PRIME
 euler[m=10]: PROBABLE_PRIME
@@ -420,6 +437,13 @@ miller_rabin[m=10]: PROBABLE_PRIME
 fermat[m=10]: COMPOSITE (witness {F11_WITNESS})
 euler[m=10]: COMPOSITE (witness {F11_WITNESS})
 miller_rabin[m=10]: COMPOSITE (witness {F11_WITNESS})
+""",
+    # the pool runs the Chernick number's heads while Fermat and Euler are
+    # still open after MR has failed at the first base
+    f"test {CHERNICK} --rounds 10 --seed 1": f"""\
+fermat[m=10]: PROBABLE_PRIME
+euler[m=10]: PROBABLE_PRIME
+miller_rabin[m=10]: COMPOSITE (witness {CHERNICK_WITNESS})
 """,
     "lab census --start 551 --end 651": """\
 n,total_bases,fermat_liars,euler_liars,strong_liars
@@ -928,10 +952,11 @@ n,total_bases,fermat_liars,euler_liars,strong_liars
 }
 
 
-# short test ids for the two cases whose commands spell out 617- and 664-digit numbers
+# short test ids for the three cases whose commands spell out 615- to 664-digit numbers
 GOLDEN_IDS = {
     f"test {2**2203 - 1} --rounds 10 --seed 1": "test 2^2203-1 --rounds 10 --seed 1",
     f"test {2**2048 + 1} --rounds 10 --seed 1": "test 2^2048+1 --rounds 10 --seed 1",
+    f"test {CHERNICK} --rounds 10 --seed 1": "test chernick-2043 --rounds 10 --seed 1",
 }
 
 
@@ -949,17 +974,18 @@ def test_golden_stdout(capsys, monkeypatch, command):
 
 def test_test_command_builds_one_chain_per_base_for_all_three_tests(capsys, monkeypatch):
     bases = []
-    chain = primality._chain
+    head = primality.mod_pow
 
-    def counted(n, a):
+    def counted(a, m, n):
         bases.append(a)
-        return chain(n, a)
+        return head(a, m, n)
 
-    monkeypatch.setattr(primality, "_chain", counted)
+    monkeypatch.setattr(primality, "mod_pow", counted)
     command = "test 170141183460469231731687303715884105727 --rounds 10 --seed 2"
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0 and out == GOLDEN[command]
-    assert len(bases) == 10  # one chain per base serves all three tests on a prime, not three
+    # one head modexp per base, its chain read by all three tests on a prime, not three
+    assert len(bases) == len(set(bases)) == 10
 
 
 def test_closed_stdout_exits_quietly():

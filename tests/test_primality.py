@@ -1,6 +1,8 @@
 import math
 import os
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -268,9 +270,9 @@ class TestConcurrentRounds:
         if host != "below the cutoff":
             monkeypatch.setattr(primality, "PARALLEL_MIN_BITS", 0)
         _as_host(monkeypatch, host)
-        draws, chains = [], []
-        chain = primality._chain
-        monkeypatch.setattr(primality, "_chain", lambda n, a: chains.append(a) or chain(n, a))
+        draws, heads = [], []
+        head = primality.mod_pow
+        monkeypatch.setattr(primality, "mod_pow", lambda a, m, n: heads.append(a) or head(a, m, n))
 
         class Bases:
             def randint(self, lo, hi):
@@ -282,7 +284,7 @@ class TestConcurrentRounds:
         if host == "two CPUs":
             assert pool_calls
         else:
-            assert not pool_calls and chains == [2, 3]  # no chain is built past the witness
+            assert not pool_calls and heads == [2, 3]  # no modexp is made past the witness
         # a real stream whose first base is the strong liar 1959 and second the
         # witness 3 is left where ten draws leave it, whether or not the pool ran
         rng, reference = make_stream(2), make_stream(2)
@@ -300,6 +302,57 @@ class TestConcurrentRounds:
         assert not pool_calls
         assert miller_rabin(M2203, 10, make_stream(1)).rounds_survived == 10
         assert pool_calls
+
+    def test_only_the_heads_run_on_the_pool(self, monkeypatch, pool_calls):
+        threads = {"head": [], "squarings": []}
+
+        def on_thread(kind, fn):
+            return lambda *args: threads[kind].append(threading.current_thread().name) or fn(*args)
+
+        monkeypatch.setattr(primality, "mod_pow", on_thread("head", primality.mod_pow))
+        monkeypatch.setattr(primality, "_squarings", on_thread("squarings", primality._squarings))
+        survived = primality.TestVerdict(rounds_survived=10)
+        assert compare_tests(M2203, 10, make_stream(1)) == dict.fromkeys(DRIVERS, survived)
+        assert pool_calls
+        assert len(threads["head"]) == 10 and all(name.startswith("primegen-chain") for name in threads["head"])
+        assert threads["squarings"] == [threading.current_thread().name] * 10
+
+    def test_an_early_verdict_waits_for_no_head(self, monkeypatch):
+        # seed 1's first base is a witness to all three tests on 2^2048 + 3, a
+        # multiple of 7 with m = (n - 1) / 2; the heads of the other nine block until released
+        n = 2**2048 + 3
+        first = make_stream(1).randint(2, n - 2)
+        release, started, finished = threading.Event(), [], []
+        head = primality.mod_pow
+
+        def blocking(a, m, modulus):
+            started.append(a)
+            if a != first:
+                release.wait(timeout=10)
+            finished.append(a)
+            return head(a, m, modulus)
+
+        workers = 2
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="primegen-chain")
+        _as_host(monkeypatch, "two CPUs")
+        monkeypatch.setattr(primality, "_pool", lambda: pool)
+        monkeypatch.setattr(primality, "mod_pow", blocking)
+        try:
+            verdicts = compare_tests(n, 10, make_stream(1))
+            assert finished == [first]  # returned while the heads it started were still blocked
+        finally:
+            release.set()
+            pool.shutdown()
+        assert verdicts == dict.fromkeys(DRIVERS, primality.TestVerdict(witness=first))
+        # a worker may take one more head once the first is done; the rest were cancelled
+        assert first in started and len(started) <= workers + 1
+        assert sorted(finished) == sorted(started)
+
+    def test_no_pool_for_heads_with_a_small_exponent(self, monkeypatch, pool_calls):
+        # 2^2048 + 1 - 1 = 2^2048: every head is a^1, and the squarings, which hold the GIL, are all the work
+        verdicts = compare_tests(2**2048 + 1, 10, make_stream(1))
+        assert all(verdict.is_composite and verdict.rounds_survived == 0 for verdict in verdicts.values())
+        assert not pool_calls
 
     @pytest.mark.parametrize("host", ["without libgmp", "one CPU"])
     def test_no_pool_where_threads_cannot_overlap(self, monkeypatch, host):
