@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .confidence import ConfidenceReport, bayes_confidence, rounds_for_confidence
 from .density import Mode, filtered_prime_prob
 from .errors import RefusalError
-from .primality import TestVerdict, has_small_factor, miller_rabin
+from .primality import TestVerdict, miller_rabin, small_factor
 from .sampling import Candidate, FilterPolicy, make_stream, random_candidate
 
 CSV_HEADER = ("number", "verdict", "rounds_used", "confidence_lower_bound")
@@ -102,7 +102,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     Candidate i draws from its own stream, make_stream(seed, i), first
     for the candidate and then for the test bases, so results do not
     depend on execution order. An even candidate is composite by its
-    factor 2 and draws no base. Digits below 2, count below 1 and rounds
+    factor 2 and draws no base. An odd one goes through the screen, and the
+    divisor d = small_factor(n) it returns goes to miller_rabin: when d > 1
+    and a^e != 1 (mod d) for the first base a, e = n - 1 reduced modulo a
+    multiple of lambda(d) (primality._proven_witness), a^(n-1) != 1 (mod n),
+    so a is the witness the strong round would report, found without a
+    modexp on n. The bases drawn, the verdicts and every record stay those
+    of the plain test. Digits below 2, count below 1 and rounds
     below 1 raise ValueError, in that order, before the first draw, and
     _check_digits refuses a number too long to print just after the digit check.
     """
@@ -115,7 +121,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ExperimentRecord], Ex
     for i in range(config.count):
         rng = make_stream(config.seed, i)
         candidate = random_candidate(config.digits, config.policy, rng)
-        verdict = miller_rabin(candidate.n, config.rounds, rng) if candidate.n % 2 else EVEN
+        n = candidate.n
+        verdict = miller_rabin(n, config.rounds, rng, _divisor=small_factor(n)) if n % 2 else EVEN
         records.append(ExperimentRecord(candidate, verdict))
     summary = ExperimentSummary(
         digits=config.digits,
@@ -167,7 +174,7 @@ def generate_prime(
     for attempt in range(MAX_ATTEMPTS):
         rng = make_stream(seed, attempt)
         candidate = random_candidate(digits, policy, rng)
-        if candidate.n % 2 == 0 or has_small_factor(candidate.n):
+        if candidate.n % 2 == 0 or small_factor(candidate.n) > 1:
             continue
         verdict = miller_rabin(candidate.n, rounds, rng)
         if verdict.is_probable_prime:

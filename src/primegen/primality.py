@@ -3,7 +3,8 @@
 Three single-round tests (Fermat, Euler, Miller-Rabin) that read one
 squaring chain, one driver running any set of them on one chain per base,
 exact trial division for small inputs, and a two-stage gcd screen for
-prime factors up to SMALL_PRIME_BOUND. Composite verdicts always carry
+prime factors up to SMALL_PRIME_BOUND, whose factor can prove a driver's
+first base a witness without a modexp on n. Composite verdicts always carry
 evidence and are never wrong; only "probable prime" can be a false
 positive.
 """
@@ -146,13 +147,41 @@ def _pool():
     return ThreadPoolExecutor(max_workers=_cpu_count(), thread_name_prefix="primegen-chain")
 
 
-def _base_chains(n: int, rounds: int, rng: Stream, *, first_alone: bool = True):
+def _proven_witness(n: int, a: int, d: int) -> bool:
+    """True when a^e mod d, a small modexp, proves a a Fermat witness for n:
+    a^(n-1) != 1 (mod n). d > 1 is small_factor(n); False proves nothing.
+
+    Lemma. Let d | n and L be a multiple of lambda(d), Carmichael's function,
+    and e = (n - 1) mod L. For gcd(a, d) = 1, a^(n-1) = a^e (mod d). If some
+    prime p | d also divides a, a^(n-1) = 0 (mod p), so a^(n-1) != 1 (mod n)
+    whatever a^e is. So a^e != 1 (mod d) implies a^(n-1) != 1 (mod n). (With
+    e = 0, a^e is 1 and nothing is claimed.) Every ROUND_TESTS pass condition
+    implies a^(n-1) = 1 (mod n), so such a base fails all three tests.
+
+    L is FIRST_STAGE_LAMBDA for a first-stage d. A second-stage d is replaced
+    by one prime factor p of it, with L = lambda(p) = p - 1. p = 3 proves no
+    base (2 divides n - 1) and p = 5 none when 4 does, so above 15 both are
+    divided out of d first. p is then d itself when it is a prime (factor_table
+    says which up to SMALL_PRIME_BOUND), else the least prime dividing it.
+    """
+    if FIRST_STAGE_PRODUCT % d == 0:
+        return pow(a, (n - 1) % FIRST_STAGE_LAMBDA, d) != 1
+    if d > 15:
+        d //= math.gcd(d, 15)
+    if d > SMALL_PRIME_BOUND or _SMALL_FACTORS[d]:
+        d = next(p for p in _SECOND_STAGE_PRIMES if d % p == 0)
+    return pow(a, (n - 1) % (d - 1), d) != 1
+
+
+def _base_chains(n: int, rounds: int, rng: Stream, *, first_alone: bool = True, divisor: int = 1):
     """(base, chain) for up to `rounds` uniform bases in [2, n-2] from `rng`.
 
     With first_alone the first base is drawn and judged alone, and a caller
-    asks for the next only while a test is still open. The other bases are
-    drawn at once and their chains read back in base order. For several of
-    them, m of at least PARALLEL_MIN_BITS bits, GMP bound (its mpz_powm runs
+    asks for the next only while a test is still open. Given a divisor d > 1
+    of n from small_factor(n), that first base comes with chain None, and no
+    modexp, when _proven_witness(n, a, d) proves it a Fermat witness. The
+    other bases are drawn at once and their chains read back in base order.
+    For several of them, m of at least PARALLEL_MIN_BITS bits, GMP bound (its mpz_powm runs
     without the GIL; builtin pow holds it) and more than one CPU, every head
     a^m is computed on _pool() at once and the calling thread squares each
     into its chain as it reads it; otherwise each head is computed when its
@@ -161,26 +190,27 @@ def _base_chains(n: int, rounds: int, rng: Stream, *, first_alone: bool = True):
     s, m = decompose_pow2(n - 1)
     if first_alone:
         a = rng.randint(2, n - 2)
-        yield a, _squarings(n, s, mod_pow(a, m, n))
+        yield a, None if divisor > 1 and _proven_witness(n, a, divisor) else _squarings(n, s, mod_pow(a, m, n))
     bases = [rng.randint(2, n - 2) for _ in range(rounds - first_alone)]
     concurrent = len(bases) > 1 and m.bit_length() >= PARALLEL_MIN_BITS and arith._libgmp() is not None and _cpu_count() > 1
     heads = (_pool().map if concurrent else map)(mod_pow, bases, [m] * len(bases), [n] * len(bases))
     yield from zip(bases, (_squarings(n, s, head) for head in heads))
 
 
-def _multi_round(tests, n: int, rounds: int, rng: Stream, *, first_alone: bool = True) -> dict[str, TestVerdict]:
+def _multi_round(tests, n: int, rounds: int, rng: Stream, *, first_alone: bool = True, divisor: int = 1) -> dict[str, TestVerdict]:
     """Verdicts of the named ROUND_TESTS on n over up to `rounds` bases that
-    _base_chains(first_alone) draws from `rng`. One chain per base is read by
-    each test still open; a failing test's verdict has rounds_survived = the
-    bases it passed, and no further chain is read once every test has failed.
+    _base_chains(first_alone, divisor) draws from `rng`. One chain per base is
+    read by each test still open, and a chain of None, a proven Fermat witness,
+    fails every one; a failing test's verdict has rounds_survived = the bases it
+    passed, and no further chain is read once every test has failed.
     """
     _check_round_args(n)
     if rounds < 1:
         raise ValueError("round count must be >= 1")
     verdicts: dict[str, TestVerdict | None] = dict.fromkeys(tests)
-    for done, (a, chain) in enumerate(_base_chains(n, rounds, rng, first_alone=first_alone)):
+    for done, (a, chain) in enumerate(_base_chains(n, rounds, rng, first_alone=first_alone, divisor=divisor)):
         for test, verdict in verdicts.items():
-            if verdict is None and not ROUND_TESTS[test](n, chain):
+            if verdict is None and (chain is None or not ROUND_TESTS[test](n, chain)):
                 verdicts[test] = TestVerdict(witness=a, rounds_survived=done)
         if all(verdicts.values()):
             return verdicts
@@ -188,13 +218,15 @@ def _multi_round(tests, n: int, rounds: int, rng: Stream, *, first_alone: bool =
     return {test: verdict or survived for test, verdict in verdicts.items()}
 
 
-def miller_rabin(n: int, rounds: int, rng: Stream) -> TestVerdict:
+def miller_rabin(n: int, rounds: int, rng: Stream, *, _divisor: int = 1) -> TestVerdict:
     """Up to `rounds` strong rounds with independent uniform bases in [2, n-2].
 
     Stops at the first witness. A surviving composite slips through with
-    probability below 4^-rounds.
+    probability below 4^-rounds. _divisor, small_factor(n) from a caller
+    that screened n, lets the first base be proven a witness without its
+    modexp (_proven_witness); the bases drawn and the verdict stay the same.
     """
-    return _multi_round(("miller_rabin",), n, rounds, rng)["miller_rabin"]
+    return _multi_round(("miller_rabin",), n, rounds, rng, divisor=_divisor)["miller_rabin"]
 
 
 def fermat_test(n: int, rounds: int, rng: Stream) -> TestVerdict:
@@ -275,19 +307,33 @@ def factor_table(limit: int) -> array:
 
 
 SMALL_PRIME_BOUND = 2000
-SMALL_PRIMES_PRODUCT = math.prod(p for p, f in enumerate(factor_table(SMALL_PRIME_BOUND)) if p >= 2 and not f)
+_SMALL_FACTORS = factor_table(SMALL_PRIME_BOUND)
+SMALL_PRIMES_PRODUCT = math.prod(p for p, f in enumerate(_SMALL_FACTORS) if p >= 2 and not f)
 # The primes after the mod-30 wheel's 2, 3, 5 whose product, 215656441 < 2^30, fits one CPython digit.
-FIRST_STAGE_PRODUCT = 7 * 11 * 13 * 17 * 19 * 23 * 29
+FIRST_STAGE_PRIMES = (7, 11, 13, 17, 19, 23, 29)
+FIRST_STAGE_PRODUCT = math.prod(FIRST_STAGE_PRIMES)
+# lcm(p - 1) over those primes, 55440: Carmichael's lambda(d) divides it for every d | FIRST_STAGE_PRODUCT.
+FIRST_STAGE_LAMBDA = math.lcm(*(p - 1 for p in FIRST_STAGE_PRIMES))
+# The primes _proven_witness tries, in order, on a composite second-stage gcd: by then one of
+# primes from 31 to SMALL_PRIME_BOUND, or 15.
+_SECOND_STAGE_PRIMES = [5] + [p for p in range(31, SMALL_PRIME_BOUND + 1) if not _SMALL_FACTORS[p]]
 
 
-def has_small_factor(n: int) -> bool:
-    """True iff n > SMALL_PRIME_BOUND has a prime factor <= SMALL_PRIME_BOUND.
+def small_factor(n: int) -> int:
+    """A divisor of n, > 1 iff n > SMALL_PRIME_BOUND has a prime factor <= SMALL_PRIME_BOUND.
 
-    Two gcds, far cheaper than a modexp: n's one-digit remainder against
-    FIRST_STAGE_PRODUCT, then, for the numbers that pass, n against the
-    product of all those primes. Never true for a prime; n <=
-    SMALL_PRIME_BOUND is left to the caller's other tests.
+    The screen, two gcds far cheaper than a modexp: n's one-digit remainder
+    against FIRST_STAGE_PRODUCT, and, when that is 1, n against the product
+    of all those primes. Returns d, the gcd that found a factor (a divisor of
+    FIRST_STAGE_PRODUCT, or a product of primes outside it), or 1 when neither
+    did. Always 1 for a prime; n <= SMALL_PRIME_BOUND gets 1, left to the
+    caller's other tests. generate_prime skips n when d > 1; run_experiment
+    passes d to miller_rabin, whose first base may then be proven a witness
+    from a^e mod d (_proven_witness: the lemma, and e = n - 1 reduced modulo
+    FIRST_STAGE_LAMBDA for a first-stage d, modulo p - 1 for a prime p of a
+    second-stage one).
     """
-    return n > SMALL_PRIME_BOUND and (
-        math.gcd(n % FIRST_STAGE_PRODUCT, FIRST_STAGE_PRODUCT) > 1 or math.gcd(n, SMALL_PRIMES_PRODUCT) > 1
-    )
+    if n <= SMALL_PRIME_BOUND:
+        return 1
+    d = math.gcd(n % FIRST_STAGE_PRODUCT, FIRST_STAGE_PRODUCT)
+    return d if d > 1 else math.gcd(n, SMALL_PRIMES_PRODUCT)

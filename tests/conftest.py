@@ -1,3 +1,4 @@
+import ctypes
 import math
 from collections import Counter
 from functools import lru_cache
@@ -5,6 +6,8 @@ from statistics import NormalDist
 
 import pytest
 from hypothesis import settings
+
+from primegen import arith
 
 settings.register_profile("suite", derandomize=True, max_examples=200)
 settings.load_profile("suite")
@@ -43,6 +46,35 @@ def liar_oracle():
     liar_oracle(n, a) is the (fermat, euler, strong) pass flags of base a
     against odd n >= 3."""
     return _liar_oracle
+
+
+# mpz_probab_prime_p's reps: from GMP 6.2 on it runs trial division, a
+# Baillie-PSW test, then reps - 24 Miller-Rabin rounds, so 24 runs BPSW alone.
+BPSW_REPS = 24
+
+
+@pytest.fixture(scope="session")
+def bpsw_oracle():
+    """Third-party probable-prime oracle: bpsw_oracle(n) is True iff GMP's
+    mpz_probab_prime_p calls n > 0 a (probable) prime, a Baillie-PSW test from
+    GMP 6.2 on (no BPSW pseudoprime is known). Bound here, through the libgmp
+    that primegen loads, into an mpz_t of its own: forcing primegen's GMP path
+    off (arith._libgmp patched to None) leaves the oracle as it is. Skips only
+    when libgmp does not load."""
+    lib = arith._libgmp()
+    if lib is None:
+        pytest.skip("libgmp does not load: no Baillie-PSW oracle")
+    probab_prime_p = getattr(lib, "__gmpz_probab_prime_p")
+    probab_prime_p.argtypes, probab_prime_p.restype = [arith._MPZ, ctypes.c_int], ctypes.c_int
+    z = arith._Mpz()
+    getattr(lib, "__gmpz_init")(z)
+
+    def is_probable_prime(n: int) -> bool:
+        arith._set_mpz(lib, z, n)
+        return probab_prime_p(z, BPSW_REPS) > 0
+
+    yield is_probable_prime
+    getattr(lib, "__gmpz_clear")(z)
 
 
 @pytest.fixture(scope="session")

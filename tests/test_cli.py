@@ -362,7 +362,7 @@ def test_digits_above_the_cap_refused_before_any_draw(capsys, no_work, command):
 # no 14,000-bit chain runs.
 @pytest.mark.parametrize("argv", ["generate --seed 0", "experiment --count 1 --rounds 1 --seed 0"])
 def test_digits_at_the_cap_are_printed(capsys, monkeypatch, argv):
-    monkeypatch.setattr(experiment, "miller_rabin", lambda n, rounds, rng: primality.TestVerdict(rounds_survived=rounds))
+    monkeypatch.setattr(experiment, "miller_rabin", lambda n, rounds, rng, _divisor=1: primality.TestVerdict(rounds_survived=rounds))
     code, out, _ = run_cli(capsys, *argv.split(), "--digits", str(experiment.DIGIT_CAP))
     assert code == 0 and len(out.split()[0]) == experiment.DIGIT_CAP
 

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from primegen import experiment, primality
+from primegen import arith, experiment, primality
 from primegen.confidence import bayes_confidence, rounds_for_confidence
 from primegen.density import Mode, filtered_prime_prob
 from primegen.errors import RefusalError
@@ -24,6 +25,7 @@ from primegen.primality import TestVerdict as Verdict
 from primegen.sampling import Candidate, FilterPolicy, make_stream
 
 BOTH = FilterPolicy.BOTH
+PRIMES_617 = Path(__file__).parents[1] / "bench" / "primes617.txt"  # read only
 
 
 def small_config(**overrides):
@@ -94,6 +96,38 @@ class TestRunExperiment:
             exact = trial_division(r.candidate.n).outcome is ExactOutcome.PRIME
             assert r.verdict.is_probable_prime == exact
 
+    def test_proven_first_bases_change_no_seeded_record(self, monkeypatch):
+        # as the package runs on two CPUs, then as on a host without libgmp
+        # (builtin pow only), then on one CPU; screen divisors against none
+        def outcomes():
+            return [run_experiment(ExperimentConfig(digits, 12, 4, seed, policy))[0]
+                    for digits in (2, 3, 4, 5, 6, 12, 40, 75) for policy in FilterPolicy for seed in range(10)]
+
+        for libgmp, cpus in ((arith._libgmp, 2), (lambda: None, 2), (arith._libgmp, 1)):
+            monkeypatch.setattr(arith, "_libgmp", libgmp)
+            monkeypatch.setattr(primality, "_cpu_count", lambda: cpus)
+            proven = outcomes()
+            with monkeypatch.context() as unscreened:
+                unscreened.setattr(experiment, "small_factor", lambda n: 1)
+                assert outcomes() == proven
+
+    def test_proven_first_bases_save_modexps(self, monkeypatch):
+        # 75 digits, 10 seeded batches of 100: about 120 modexps per 100 candidates
+        # with no screen divisor, about 65 with one
+        calls = []
+        head = primality.mod_pow
+        monkeypatch.setattr(primality, "mod_pow", lambda a, m, n: calls.append(a) or head(a, m, n))
+
+        def modexps():
+            calls.clear()
+            for seed in range(10):
+                run_experiment(ExperimentConfig(75, 100, 10, seed))
+            return len(calls)
+
+        proven = modexps()
+        monkeypatch.setattr(experiment, "small_factor", lambda n: 1)
+        assert proven <= 750 < 1100 <= modexps()
+
     def test_config_validation(self, monkeypatch):
         def draw(*args):
             raise AssertionError("candidate drawn before the config was checked")
@@ -155,7 +189,7 @@ class TestGeneratePrime:
 
         cases = [(digits, seed) for digits in (20, 75, 100) for seed in range(20)]
         screened = [outcome(*case) for case in cases]
-        monkeypatch.setattr(experiment, "has_small_factor", lambda n: False)
+        monkeypatch.setattr(experiment, "small_factor", lambda n: 1)
         assert [outcome(*case) for case in cases] == screened
 
     def test_small_digit_sizes_around_the_screen_bound(self):
@@ -285,3 +319,30 @@ class TestJsonRows:
     def test_no_rows_is_an_empty_array(self):
         assert "".join(render_rows(["a"], [], "json")) == "[]"
         assert "".join(render_rows(["a"], iter(()), "json", ({"n": 2}, "rows"))) == json.dumps({"n": 2, "rows": []}, indent=2)
+
+
+class TestAgainstBailliePSW:
+    """GMP's Baillie-PSW test (the bpsw_oracle fixture) as a second opinion above
+    the exact oracle's bound. Its base-2 round runs on mpz_powm, as primegen's
+    modexps do when libgmp loads; forced off, the two sides share no arithmetic."""
+
+    @pytest.fixture(params=["installed", "without libgmp"])
+    def host(self, request, bpsw_oracle, monkeypatch):
+        if request.param == "without libgmp":
+            monkeypatch.setattr(arith, "_libgmp", lambda: None)  # builtin pow only
+        return bpsw_oracle
+
+    def test_generated_primes_are_bpsw_probable_primes(self, host):
+        values = [generate_prime(digits, 0.999, seed=seed).value for digits, seed in ((100, 1), (100, 2), (309, 1))]
+        assert all(map(host, values))
+
+    def test_bench_primes_are_bpsw_probable_primes(self, bpsw_oracle):
+        primes = [int(token) for token in PRIMES_617.read_text().split()]
+        assert len(primes) == 4 and all(map(bpsw_oracle, primes))
+        assert not bpsw_oracle(primes[0] * primes[1]) and not bpsw_oracle(2**2048 + 1)
+
+    def test_batch_verdicts_agree_with_bpsw(self, host):
+        # proven first bases included: about 55 of each 100 candidates
+        for seed in range(3):
+            records, _ = run_experiment(ExperimentConfig(75, 100, 10, seed))
+            assert [r.verdict.is_probable_prime for r in records] == [host(r.candidate.n) for r in records]

@@ -19,10 +19,10 @@ from primegen.primality import (
     factor_table,
     fermat_round,
     fermat_test,
-    has_small_factor,
     miller_rabin,
     miller_rabin_round,
     mr_transcript,
+    small_factor,
     trial_division,
 )
 from primegen.sampling import make_stream
@@ -419,8 +419,8 @@ class TestSmallPrimeScreen:
     def test_a_large_prime_times_p(self, p):
         # 7..29 make up the first stage; 3, 5, 31 and 1999 are found by the second, 2003 by neither
         q = 2**521 - 1  # a Mersenne prime
-        assert has_small_factor(p * q) == (p <= SMALL_PRIME_BOUND)
-        assert not has_small_factor(q)
+        assert small_factor(p * q) == (p if p <= SMALL_PRIME_BOUND else 1)
+        assert small_factor(q) == 1
 
     @pytest.mark.parametrize("digits", [100, 309, 617])
     def test_seeded_odd_numbers_agree_with_one_gcd(self, digits):
@@ -428,9 +428,10 @@ class TestSmallPrimeScreen:
         outcomes = set()
         for _ in range(1000):
             n = rng.randrange(10 ** (digits - 1), 10**digits) | 1
-            screened = has_small_factor(n)
-            assert screened == (math.gcd(n, primality.SMALL_PRIMES_PRODUCT) > 1), n
-            outcomes.add(screened)
+            d, first = small_factor(n), math.gcd(n, primality.FIRST_STAGE_PRODUCT)
+            assert d == (first if first > 1 else math.gcd(n, primality.SMALL_PRIMES_PRODUCT)), n
+            assert (d > 1) == (math.gcd(n, primality.SMALL_PRIMES_PRODUCT) > 1), n
+            outcomes.add(d > 1)
         assert outcomes == {False, True}
 
     def test_rejects_exactly_the_numbers_with_a_small_factor(self, prime_flags):
@@ -441,5 +442,66 @@ class TestSmallPrimeScreen:
             if flags[p]:
                 small[p::p] = b"\x01" * (limit // p)
         start = SMALL_PRIME_BOUND + 1
-        screened = bytes(map(has_small_factor, range(start, limit + 1)))
+        screened = bytes(small_factor(n) > 1 for n in range(start, limit + 1))
         assert screened == small[start:], [start + i for i, b in enumerate(screened) if b != small[start + i]][:10]
+
+
+class TestProvenWitness:
+    def test_first_stage_lambda_is_a_multiple_of_each_p_minus_1(self):
+        assert primality.FIRST_STAGE_PRODUCT == math.prod(primality.FIRST_STAGE_PRIMES)
+        assert primality.FIRST_STAGE_LAMBDA == 55440
+        assert all(primality.FIRST_STAGE_LAMBDA % (p - 1) == 0 for p in primality.FIRST_STAGE_PRIMES)
+
+    def test_a_proven_witness_fails_all_three_rounds_exhaustive(self, prime_flags):
+        # Every odd composite n in [9, 3000] with n's screen divisor (small_factor is
+        # 1 up to the bound) and every base in [2, n - 2]: no Fermat liar, found by
+        # builtin pow, is proven a witness; only a Fermat liar can pass a round. The
+        # three rounds run on every 16th base, and say composite on each one proven.
+        flags = prime_flags(3000)
+        proven = 0
+        for n in range(9, 3001, 2):
+            d = small_factor(n)
+            if flags[n] or d == 1:
+                assert flags[n] or n <= SMALL_PRIME_BOUND, n
+                continue
+            liars = [a for a in range(2, n - 1) if pow(a, n - 1, n) == 1]
+            assert not any(primality._proven_witness(n, a, d) for a in liars), n
+            for a in range(2, n - 1, 16):
+                if primality._proven_witness(n, a, d):
+                    proven += 1
+                    assert all(round_(n, a).is_composite for round_ in (fermat_round, euler_round, miller_rabin_round)), (n, a)
+        assert proven > 25_000  # of about 58,000 bases
+
+    @pytest.mark.parametrize(
+        "n, d, verdict, heads, draws",
+        [
+            # 2051 = 7 * 293: 2^(2050 mod 55440) = 2^4 = 2 (mod 7), so the first base, 2, is proven
+            (2051, 7, primality.TestVerdict(witness=2), [], 1),
+            # 2047 = 23 * 89: 22 divides 2046, so no base coprime to 23 is proven; the strong
+            # liar 2 drawn first gets its chain, then the witness 3, as with no divisor
+            (2047, 23, primality.TestVerdict(witness=3, rounds_survived=1), [2, 3], 10),
+        ],
+    )
+    def test_first_base_with_a_screen_divisor(self, monkeypatch, n, d, verdict, heads, draws):
+        chained, drawn = [], []
+        head = primality.mod_pow
+        monkeypatch.setattr(primality, "mod_pow", lambda a, m, n: chained.append(a) or head(a, m, n))
+
+        class Bases:
+            def randint(self, lo, hi):
+                drawn.append(lo)
+                return 2 if len(drawn) == 1 else 3
+
+        assert small_factor(n) == d
+        assert miller_rabin(n, 10, Bases(), _divisor=d) == verdict
+        assert chained == heads and len(drawn) == draws
+
+    @pytest.mark.parametrize("d", [1999, 3 * 31, 31 * 67, 3 * 1999, 3 * 5 * 1999, 1997 * 1999])
+    def test_second_stage_divisors_prove_with_one_prime_factor(self, d):
+        # a prime gcd is used as it is, and a product, at or below the bound or above it,
+        # through one prime from 31 up: 3 and 5 are divided out first
+        q = 2**521 - 1  # a Mersenne prime
+        n = d * q
+        assert small_factor(n) == d
+        proven = [a for a in range(2, 200) if primality._proven_witness(n, a, d)]
+        assert proven and all(mod_pow(a, n - 1, n) != 1 for a in proven)
